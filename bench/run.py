@@ -9,18 +9,23 @@ fixed list of operations; rounds repeat, one operation in flight, until
 another round would end after ``--seconds``.  Every operation's output is
 checked, and a failed check counts the operation as failed.
 
-``--trace 0`` prints the end-to-end metrics:
+``--trace 0`` prints the end-to-end metrics.  Their times are scaled to a
+reference host speed by a probe loop run every 20 ms from a timer (see
+``speed.py``); the raw round time and the host's speed are printed in
+the ``env`` line.
 
 * ``setup_s``: the median import time of numpy and tandemnet over this
   process and a few child interpreters that only import, plus the median
   of several repetitions of input generation, config writing and
   sequence/field construction;
-* ``wall_s``: median time of one round's operations;
-* ``ops_per_s``, ``op_p50_ms``;
-* ``op_tail_ms``: per round, the highest percentile with at least 10
+* ``wall_s``: time of one round's operations, as the central mean over
+  rounds (the mean of the middle half, see ``central_mean``);
+* ``ops_per_s``;
+* ``op_p50_ms`` and ``op_tail_ms``: each operation of the round gets the
+  central mean of its times over all rounds; ``op_p50_ms`` is the median
+  of these, and ``op_tail_ms`` their highest percentile with at least 10
   operations beyond it (the slowest operation in rounds of fewer than
-  22), and the median over rounds; printed with its percentile and the
-  operations per round;
+  22), printed with its percentile and the operations per round;
 * ``peak_rss_mb``: ``ru_maxrss`` of this process.
 
 It also prints ``failed_ops_ratio`` and, on the session workloads,
@@ -31,9 +36,10 @@ because that may hold only metrics that are never zero on any workload.
 per-layer metrics of the traced rounds (see ``PER_LAYER``): counts per
 round, which must repeat exactly in every round, and seconds per round.
 ``<x>_self_s`` is time inside x minus its traced children; other ``_s``
-metrics include children.  The layers' self times plus ``bench.self_s``
-add up to ``trace.wall_s``; ``trace.overhead_s`` is the traced minus the
-untraced round time.  Spans are written to
+metrics include children.  Per-layer times are as measured, not scaled:
+the probe timer is off in traced rounds.  The layers' self times plus
+``bench.self_s`` add up to ``trace.wall_s``; ``trace.overhead_s`` is the
+traced minus the untraced round time, both as measured.  Spans are written to
 ``.bench_out/spans-<workload>-<seed>.jsonl``.
 
 The last line of standard output is the JSON result.
@@ -54,12 +60,13 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+from speed import Sampler
 from tracing import Tracer
 from workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / ".bench_out"
-SETUP_REPS = 5
+SETUP_REPS = 9
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -96,21 +103,30 @@ SPAN = {
 
 
 IMPORT_PROBE = """
-import sys, time
+import statistics, sys, time
+sys.path.insert(0, sys.argv[2])
+from speed import REF_PROBE_S, probe
+for _ in range(20):
+    probe()
+probes = [probe() for _ in range(10)]
 t = time.perf_counter()
 import numpy
 sys.path.insert(0, sys.argv[1])
 import tandemnet, tandemnet.cli
-print(time.perf_counter() - t)
+seconds = time.perf_counter() - t
+probes += [probe() for _ in range(10)]
+print(seconds * REF_PROBE_S / statistics.median(probes))
 """
 
 
 def import_times(reps):
     """Import time of numpy and tandemnet in fresh interpreters, each
-    waited for before the next starts."""
+    waited for before the next starts, at the reference speed of probes
+    run in the same interpreter just before and after the import."""
     out = []
     for _ in range(reps):
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(ROOT / "src")],
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(ROOT / "src"),
+                               str(Path(__file__).resolve().parent)],
                               capture_output=True, text=True, check=True, timeout=60)
         out.append(float(proc.stdout))
     return out
@@ -143,7 +159,8 @@ def import_tandemnet():
 class Round:
     def __init__(self, traced):
         self.traced = traced
-        self.times = []
+        self.timings = []  # (start, end, seconds) of each operation
+        self.times = []  # seconds at the reference speed, see speed.py
         self.failed = 0
         self.slots = 0
         self.symbols = 0
@@ -154,23 +171,26 @@ class Round:
     def wall(self):
         return sum(self.times)
 
+    @property
+    def raw_wall(self):
+        return sum(t[2] for t in self.timings)
 
-def run_round(tn, ops, traced, failures):
+
+def run_round(tn, ops, traced, failures, sampler):
     rnd = Round(traced)
     tr = Tracer() if traced else None
     if tr:
+        # no probes inside traced spans: they would count as the self
+        # time of whatever layer they interrupt
+        sampler.disarm()
         tr.install(tn)
     try:
         for op in ops:
             frame = tr.enter("bench.op") if tr else None
-            t = perf_counter()
-            try:
-                result, error = op.run(), None
-            except Exception as exc:  # an operation that raises has failed
-                result, error = None, exc
-            rnd.times.append(perf_counter() - t)
+            result, error, timing = sampler.time(op.run)
             if tr:
                 tr.exit(frame)
+            rnd.timings.append(timing)
             if error is None:
                 try:
                     slots, symbols = op.check(result)
@@ -184,25 +204,40 @@ def run_round(tn, ops, traced, failures):
     finally:
         if tr:
             tr.uninstall()
+            sampler.arm()
     if tr:
         rnd.layer = tr.snapshot()
         rnd.spans = tr.spans
     return rnd
 
 
-def tail(rounds):
+def central_mean(values):
+    """Mean of the middle half of the values (of all of them when there
+    are fewer than four).  It moves smoothly with the values, where a
+    median jumps between neighbours, and a rare stall does not move it."""
+    v = sorted(values)
+    k = len(v) // 4
+    return statistics.fmean(v[k:len(v) - k])
+
+
+def op_times(rounds):
+    """Each operation's central mean time over the rounds, fastest first."""
+    return sorted(central_mean([r.times[i] for r in rounds])
+                  for i in range(len(rounds[0].times)))
+
+
+def tail(times):
     """op_tail: (value, percentile, operations per round).
 
-    Each round gives its highest percentile with at least 10 operations
-    beyond it, or its slowest operation if it holds fewer than 22; the
-    value is the median over rounds.  Every round holds the same
-    operations, so the percentile cannot move from one kind of operation
-    to another between runs, and a burst of machine noise moves a few
-    rounds, not the median."""
-    n = len(rounds[0].times)
+    The highest percentile of the operations' times (from ``op_times``)
+    with at least 10 operations beyond it, or the slowest operation if a
+    round holds fewer than 22.  Every round holds the same operations, so
+    the percentile cannot move from one kind of operation to another
+    between runs, and a burst of machine noise that slows some
+    operations in a few rounds hardly moves their times."""
+    n = len(times)
     rank = n - 11 if n >= 22 else n - 1
-    value = statistics.median(sorted(r.times)[rank] for r in rounds)
-    return value, 100.0 * (rank + 1) / n, n
+    return times[rank], 100.0 * (rank + 1) / n, n
 
 
 def layer_metrics(rnd):
@@ -250,7 +285,7 @@ def layer_metrics(rnd):
         "cli.calls": counts.get(SPAN["cli"], 0),
         "cli.self_s": layer_self("cli"),
         "bench.self_s": layer_self("bench"),
-        "trace.wall_s": rnd.wall,
+        "trace.wall_s": rnd.raw_wall,
     }
     return m
 
@@ -262,8 +297,8 @@ def per_layer(rounds, failures):
     result = {}
     for name, unit in PER_LAYER.items():
         if name == "trace.overhead_s":
-            value = (statistics.median(r.wall for r in traced)
-                     - statistics.median(r.wall for r in untraced))
+            value = (central_mean([r.raw_wall for r in traced])
+                     - central_mean([r.raw_wall for r in untraced]))
         elif unit == "count":
             values = {m[name] for m in per_round}
             if len(values) != 1:
@@ -278,12 +313,13 @@ def per_layer(rounds, failures):
 def end_to_end(rounds, setup_s):
     times = [t for r in rounds for t in r.times]
     busy = sum(times)
-    value, pct, n = tail(rounds)
+    per_op = op_times(rounds)
+    value, pct, n = tail(per_op)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "wall_s": (statistics.median(r.wall for r in rounds), "s"),
+        "wall_s": (central_mean([r.wall for r in rounds]), "s"),
         "ops_per_s": (len(times) / busy, "1/s"),
-        "op_p50_ms": (1000 * statistics.median(times), "ms"),
+        "op_p50_ms": (1000 * statistics.median(per_op), "ms"),
         "op_tail_ms": (1000 * value, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
@@ -312,19 +348,29 @@ def main(argv=None):
     import_s = perf_counter() - t0
 
     make = WORKLOADS[args.workload]
+    sampler = Sampler()
 
     OUT_DIR.mkdir(exist_ok=True)
     tmp_root = tempfile.mkdtemp(prefix="tmp-", dir=OUT_DIR)
     try:
-        setup_times = []
+        sampler.arm()
+        setup_start = perf_counter()
+        setup_timings = []
         for rep in range(SETUP_REPS):
             tmp = os.path.join(tmp_root, str(rep))
-            t = perf_counter()
-            os.mkdir(tmp)
-            ops = make(tn, np.random.default_rng(args.seed), tmp)
-            setup_times.append(perf_counter() - t)
-        imports = [import_s] + import_times(SETUP_REPS - 1)
-        setup_s = statistics.median(imports) + statistics.median(setup_times)
+
+            def setup(tmp=tmp):
+                os.mkdir(tmp)
+                return make(tn, np.random.default_rng(args.seed), tmp)
+
+            ops, error, timing = sampler.time(setup)
+            if error is not None:
+                raise error
+            setup_timings.append(timing)
+        imports = import_times(SETUP_REPS - 1)
+        imports.append(sampler.scaled((setup_start, setup_start, import_s)))
+        inputs = [sampler.scaled(t) for t in setup_timings]
+        setup_s = statistics.median(imports) + statistics.median(inputs)
 
         failures = []
         rounds = []
@@ -332,15 +378,20 @@ def main(argv=None):
         while True:
             traced = bool(args.trace) and len(rounds) % 2 == 1
             t = perf_counter()
-            rounds.append(run_round(tn, ops, traced, failures))
+            rounds.append(run_round(tn, ops, traced, failures, sampler))
             last = perf_counter() - t
             both = not args.trace or any(r.traced for r in rounds)
             if both and perf_counter() - start + last > args.seconds:
                 break
+        sampler.stop()
+        for r in rounds:
+            if not r.traced:
+                r.times = [sampler.scaled(t) for t in r.timings]
     finally:
+        sampler.stop()
         shutil.rmtree(tmp_root, ignore_errors=True)
 
-    attempted = sum(len(r.times) for r in rounds)
+    attempted = sum(len(r.timings) for r in rounds)
     failed = sum(r.failed for r in rounds)
     for msg in failures[:20]:
         print(f"FAILED {msg}", file=sys.stderr)
@@ -353,6 +404,12 @@ def main(argv=None):
         "blas_threads": int(os.environ[THREAD_VARS[0]]),
         "python": platform.python_version(), "numpy": np.__version__,
         "failed_ops_ratio": failed / attempted,
+        "setup_import_s": statistics.median(imports),
+        "setup_inputs_s": statistics.median(inputs),
+        # the host's own figures, before scaling to the reference speed
+        "raw_wall_s": central_mean([r.raw_wall for r in untraced]),
+        "host_speed": (central_mean([r.wall for r in untraced])
+                       / central_mean([r.raw_wall for r in untraced])),
         **extra,
     }
     if args.trace:
@@ -378,7 +435,7 @@ def main(argv=None):
         note = ""
         if name == "op_tail_ms":
             note = (f"  (p{extra['op_tail_percentile']:.4g} of each "
-                    f"{extra['ops_per_round']}-op round, median of "
+                    f"{extra['ops_per_round']}-op round, per-op central means of "
                     f"{len(untraced)} rounds; {extra['op_samples']} ops)")
         print(f"{name} {m['value']:.6g} {m['unit']}{note}")
     print(f"failed_ops_ratio {env['failed_ops_ratio']:.6g} ratio")

@@ -179,10 +179,15 @@ INFEASIBLE = re.compile(
 
 
 def session_small(tn, rng, tmp):
-    """40 CLI sessions: 22 on ex1 and 14 on ex2 at the capacity rate
-    4/27, and 4 with one source at the over-capacity rate 5/27."""
-    kinds = ([("ex1", None)] * 22 + [("ex2", None)] * 14
-             + [("ex1", 0), ("ex1", 1), ("ex2", 0), ("ex2", 1)])
+    """143 CLI sessions: 100 on ex1 and 30 on ex2 at the capacity rate
+    4/27, and 13 (about one in ten) with one source at the over-capacity
+    rate 5/27.  The over-capacity runs stop early and are the cheapest;
+    the round's median operation then lies near the middle of the ex1
+    sessions, and its tail (the 11th slowest) near the middle of the ex2
+    sessions, so the seed's offsets barely move either."""
+    kinds = ([("ex1", None)] * 100 + [("ex2", None)] * 30
+             + [(topo, over) for topo in ("ex1", "ex2") for over in (0, 1)] * 3
+             + [("ex1", 0)])
     ops = []
     for n, (topo, over) in enumerate(kinds):
         spec, duties = ex1() if topo == "ex1" else ex2()
@@ -300,13 +305,15 @@ def _large_check(cfg, messages, taus, P, periods):
 # -- certify --------------------------------------------------------------
 
 def certify(tn, rng, tmp):
-    """Per round, always in this order: 11 exhaustive SI certificates
-    (one d=6 M=3, ten d=5 M=3), 18 sender identifications (8 at d=4, 10
-    at d=5) and 22 offset discoveries (8 at d=3, 14 at d=4).  The fixed
-    order gives the allocator the same sequence of P^3 tables, so the
-    peak RSS repeats from seed to seed.  The counts put the median inside
-    the d=4 discoveries and the round's tail (the 11th slowest) on a d=5
-    certificate, so neither moves between kinds of operation."""
+    """Per round, always in this order: 17 exhaustive SI certificates
+    (one d=6 M=3, sixteen d=5 M=3), 18 sender identifications (8 at d=4,
+    10 at d=5) and 48 offset discoveries (8 at d=3, 40 at d=4).  The
+    fixed order gives the allocator the same sequence of P^3 tables, so
+    the peak RSS repeats from seed to seed.  The round's median lies
+    among the 50 d=4 discoveries and d=5 identifications of similar
+    cost, near their middle, and its tail (the 11th slowest) near the
+    middle of the d=5 certificates, so the seed's draws barely move
+    either."""
     seq = tn.sequences
     ops = []
 
@@ -318,7 +325,7 @@ def certify(tn, rng, tmp):
         expect(report.exhaustive, "not exhaustive")
         return 0, 0
 
-    for d, M in [(6, 3)] + [(5, 3)] * 10:
+    for d, M in [(6, 3)] + [(5, 3)] * 16:
         sset = seq.construct_sequences(duties(d, M))
         ops.append(Op(f"si-d{d}", lambda sset=sset:
                       tn.sequences.is_consecutively_3wise_shift_invariant(sset),
@@ -341,7 +348,7 @@ def certify(tn, rng, tmp):
         ops.append(Op(f"identify-d{d}", identify, id_check))
 
     links = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)]
-    for d in [3] * 8 + [4] * 14:
+    for d in [3] * 8 + [4] * 40:
         sset = seq.construct_sequences([seq.DutyFactor(1, d)] * 4)
         taus = offsets(rng, 4, d ** 3)
         tx, rx = links[int(rng.integers(len(links)))]
@@ -384,11 +391,14 @@ CHAIN_CAPACITY = Fraction(4, 27)
 def regions(tn, rng, tmp):
     """Per round: CLI symmetric rates (all five schemes, default grid) on
     ex2; CLI boundaries at grid 1/30 and resolution 4, capacity on ex1
-    and capacity plus slotted on ex2; library capacity grids on ex1
-    (step 1/60) and on a 5-node all-active chain (step 1/30).  ex1's CLI
+    and capacity plus slotted on ex2; library capacity grids
+    on ex1 and on a 5-node all-active chain (step 1/30).  ex1's CLI
     symmetric rates are left out: their pure-ALOHA descent alone takes
     7-16 s, longer than the other operations together, so a run would
-    hold a single round."""
+    hold a single round.  The ex2 boundary runs nine times, spread
+    between the other operations: the round's median operation is then
+    one of ten boundaries of similar cost, sampled all through the
+    round, not one short operation timed once per round."""
     paths = {}
     for topo, make in (("ex1", ex1), ("ex2", ex2)):
         spec, duties = make()
@@ -411,13 +421,17 @@ def regions(tn, rng, tmp):
                                                             grid_step=step),
                   _capacity_check(cfg))
 
-    return [
+    boundary_ex2 = boundary("ex2", ["capacity", "slotted"])
+    others = [
         Op("symmetric-ex2", lambda: run_cli(tn, sym), _symmetric_check),
-        boundary("ex1", ["capacity"]),
-        boundary("ex2", ["capacity", "slotted"]),
-        capacity("capacity-ex1", ex1()[0], Fraction(1, 60)),
         capacity("capacity-5node", end_to_end_chain(5), Fraction(1, 30)),
+        capacity("capacity-ex1", ex1()[0], Fraction(1, 30)),
+        boundary("ex1", ["capacity"]),
     ]
+    ops = []
+    for op in others:
+        ops += [boundary_ex2, boundary_ex2, op]
+    return ops + [boundary_ex2]
 
 
 def _symmetric_check(result):
