@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .gf import Field
 
@@ -35,22 +38,10 @@ class CorruptCodewordError(CodingError):
     declared dimension."""
 
 
-def poly_eval(field: Field, coeffs: Sequence[int], x: int) -> int:
-    """Horner evaluation of a low-degree-first coefficient vector."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def poly_add(field: Field, a: Sequence[int], b: Sequence[int]) -> List[int]:
     n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else 0
-        y = b[k] if k < len(b) else 0
-        out.append(field.add(x, y))
-    return out
+    pad = [field.array(list(c) + [0] * (n - len(c))) for c in (a, b)]
+    return field.vadd(*pad).tolist()
 
 
 def poly_shift(coeffs: Sequence[int], s: int) -> List[int]:
@@ -58,31 +49,45 @@ def poly_shift(coeffs: Sequence[int], s: int) -> List[int]:
     return [0] * s + list(coeffs)
 
 
+# Collisions erase the same packet positions in every period, so a link
+# decodes from the same survivor points period after period and the
+# matrices below are cached per (field, points, dim).  Each cache holds at
+# most _MATRIX_CACHE entries; an entry is one array of 8 * len(points) * dim
+# bytes (Vandermonde) or 8 * dim**2 bytes (inverse), 19 KB at the 49-packet
+# frames of duty 1/7.
+_MATRIX_CACHE = 128
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _vandermonde(field: Field, points: tuple, dim: int) -> np.ndarray:
+    """Read-only matrix V[i, k] = points[i]**k, for k < dim."""
+    x = field.array(points)
+    V = np.empty((len(points), dim), dtype=x.dtype)
+    col = np.ones_like(x)
+    for k in range(dim):
+        V[:, k] = col
+        col = field.vmul(col, x)
+    V.flags.writeable = False
+    return V
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _interpolator(field: Field, points: tuple, dim: int) -> np.ndarray:
+    """Read-only inverse of the Vandermonde matrix on the first ``dim``
+    points, which maps values there to polynomial coefficients."""
+    inv = field.inverse(_vandermonde(field, points, dim)[:dim])
+    inv.flags.writeable = False
+    return inv
+
+
 def rs_encode(field: Field, coeffs: Sequence[int], eval_set: Sequence[int]) -> List[int]:
     """Evaluate the message polynomial on the given distinct points."""
     if len(set(eval_set)) != len(eval_set):
         raise ValueError("evaluation points must be pairwise distinct")
-    return [poly_eval(field, coeffs, x) for x in eval_set]
-
-
-def _solve_square(field: Field, A: List[List[int]], b: List[int]) -> List[int]:
-    """Gaussian elimination over GF(q); A is modified in place."""
-    n = len(b)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise CorruptCodewordError("singular interpolation system")
-        A[col], A[piv] = A[piv], A[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = field.inv(A[col][col])
-        A[col] = [field.mul(inv, v) for v in A[col]]
-        b[col] = field.mul(inv, b[col])
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                factor = A[r][col]
-                A[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(A[r], A[col])]
-                b[r] = field.sub(b[r], field.mul(factor, b[col]))
-    return b
+    if len(coeffs) == 0:
+        return [0] * len(eval_set)
+    V = _vandermonde(field, tuple(eval_set), len(coeffs))
+    return field.matvec(V, field.array(coeffs)).tolist()
 
 
 def rs_decode(
@@ -93,9 +98,10 @@ def rs_decode(
 ) -> List[int]:
     """Recover the degree-<dim polynomial from the non-erased components.
 
-    Solves the dim x dim Vandermonde system on the first ``dim`` survivors
-    and then checks the remaining survivors against the result, so a
-    mangled codeword is reported rather than silently mis-decoded.
+    Interpolates on the first ``dim`` survivors and then checks the
+    remaining survivors against the result, so a mangled codeword is
+    reported rather than silently mis-decoded.  Every survivor's point and
+    the first ``dim`` survivor values must be field elements.
     """
     if len(values) != len(eval_set):
         raise ValueError("values and eval_set must have equal length")
@@ -110,15 +116,16 @@ def rs_decode(
         raise InsufficientDataError(
             f"need {dim} survivors, have {len(survivors)}"
         )
-    pts = survivors[:dim]
-    A = [[field.pow(x, e) for e in range(dim)] for x, _ in pts]
-    coeffs = _solve_square(field, A, [v for _, v in pts])
-    for x, v in survivors[dim:]:
-        if poly_eval(field, coeffs, x) != v:
+    points, vals = zip(*survivors)
+    V = _vandermonde(field, points, dim)
+    coeffs = field.matvec(_interpolator(field, points, dim), field.array(vals[:dim]))
+    predicted = field.matvec(V[dim:], coeffs).tolist()
+    for x, v, w in zip(points[dim:], vals[dim:], predicted):
+        if v != w:
             raise CorruptCodewordError(
                 f"survivor at point {x} disagrees with interpolated polynomial"
             )
-    return coeffs
+    return coeffs.tolist()
 
 
 # -- nested channel-network coding --------------------------------------
@@ -206,8 +213,7 @@ def nested_encode(field: Field, state: NodeCoderState) -> List[int]:
         raise ValueError(
             f"frame length {state.frame_len} exceeds field order {field.order}"
         )
-    eval_set = list(range(state.frame_len))
-    return rs_encode(field, nested_polynomial(field, state), eval_set)
+    return rs_encode(field, nested_polynomial(field, state), range(state.frame_len))
 
 
 def nested_decode(
@@ -230,13 +236,19 @@ def nested_decode(
     survived, which is exactly the signature of a rate vector outside the
     achievable region.
     """
-    shifted = poly_shift(known_coeffs, known_shift)
-    cleaned = [
-        None if v is None else field.sub(v, poly_eval(field, shifted, x))
-        for v, x in zip(values, eval_set)
-    ]
+    if len(values) != len(eval_set):
+        raise ValueError("values and eval_set must have equal length")
+    alive = [k for k, v in enumerate(values) if v is not None]
+    vals = field.array([values[k] for k in alive])
+    if known_shift + len(known_coeffs):
+        points = tuple(eval_set[k] for k in alive)
+        V = _vandermonde(field, points, known_shift + len(known_coeffs))
+        known = field.matvec(V[:, known_shift:], field.array(known_coeffs))
+        vals = field.vsub(vals, known)
+    cleaned: List[Optional[int]] = [None] * len(values)
+    for k, v in zip(alive, vals.tolist()):
+        cleaned[k] = v
     coeffs = rs_decode(field, cleaned, eval_set, expected_dim)
-    coeffs = coeffs + [0] * (expected_dim - len(coeffs))
     return coeffs[:split_at], coeffs[split_at:]
 
 

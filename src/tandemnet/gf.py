@@ -10,11 +10,23 @@ runs and machines.
 The canonical element ordering is by integer label: the j-th element
 (1-indexed) is the integer j-1.  In particular element 0 is the additive
 identity and element 1 the multiplicative identity.
+
+Besides the scalar methods, a Field works on numpy arrays of element
+labels (``array``, ``vadd``, ``vsub``, ``vmul``, ``matvec`` and
+``inverse``).  Their tables are built on first use and take O(q*m)
+memory: addition is XOR in characteristic 2, digit-wise through a q x m
+base-p digit table in odd characteristic, and ``% p`` in a prime field;
+multiplication in an extension field adds logs.  Element ranges are
+checked once per array by ``array``; the other array methods trust their
+inputs.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import isqrt
+
+import numpy as np
 
 # Smallest monic irreducible polynomial of degree m over GF(p), encoded as
 # sum_k c_k p^k (including the leading coefficient 1).  Covers all prime
@@ -69,11 +81,7 @@ _TABLE_LIMIT = 4096
 def _factor_prime_power(q: int):
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)
     m = 0
     n = q
     while n % p == 0:
@@ -103,6 +111,8 @@ class Field:
             self._modulus = None
         self._exp = None
         self._log = None
+        # Array products of two elements must not wrap around in int64.
+        self._dtype = np.int64 if (q - 1) ** 2 < 2**63 else object
         if m > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -216,6 +226,96 @@ class Field:
             e >>= 1
         return result
 
+    # -- array arithmetic ------------------------------------------------
+
+    def array(self, values) -> np.ndarray:
+        """``values`` as an array of element labels; raises ValueError if
+        any of them is not an element."""
+        try:
+            arr = np.asarray(values, dtype=self._dtype)
+        except OverflowError:
+            raise ValueError(f"values out of range for GF({self.order})") from None
+        if arr.size:
+            lo, hi = arr.min(), arr.max()
+            if lo < 0 or hi >= self.order:
+                self._check(int(lo if lo < 0 else hi))
+        return arr
+
+    # The array log of 0 is the sentinel 2(q-1): any sum of two logs that
+    # involves it indexes the zero tail of the array exp table.
+
+    @cached_property
+    def _exp_array(self) -> np.ndarray:
+        tail = np.zeros(len(self._exp) + 1, dtype=np.int64)
+        return np.concatenate([np.asarray(self._exp, dtype=np.int64), tail])
+
+    @cached_property
+    def _log_array(self) -> np.ndarray:
+        log = np.asarray(self._log, dtype=np.int64)
+        log[0] = len(self._exp)
+        return log
+
+    @cached_property
+    def _digit_table(self) -> np.ndarray:
+        """Row a holds the base-p digits of a, low first (q x m)."""
+        return np.arange(self.order)[:, None] // self._place % self.char
+
+    @cached_property
+    def _place(self) -> np.ndarray:
+        return self.char ** np.arange(self.degree)
+
+    def _from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """Labels of digit vectors (last axis) reduced mod p."""
+        return (digits % self.char) @ self._place
+
+    def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.degree == 1:
+            return (a + b) % self.char
+        if self.char == 2:
+            return a ^ b
+        return self._from_digits(self._digit_table[a] + self._digit_table[b])
+
+    def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.degree == 1:
+            return (a - b) % self.char
+        if self.char == 2:
+            return a ^ b
+        return self._from_digits(self._digit_table[a] - self._digit_table[b])
+
+    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.degree == 1:
+            return a * b % self.char
+        return self._exp_array[self._log_array[a] + self._log_array[b]]
+
+    def _sum_last(self, terms: np.ndarray) -> np.ndarray:
+        """Field sum along the last axis."""
+        if self.degree == 1:
+            return terms.sum(axis=-1) % self.char
+        if self.char == 2:
+            return np.bitwise_xor.reduce(terms, axis=-1)
+        return self._from_digits(self._digit_table[terms].sum(axis=-2))
+
+    def matvec(self, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product A x over GF(q) of an (n, k) matrix and a k-vector."""
+        return self._sum_last(self.vmul(A, x))
+
+    def inverse(self, A: np.ndarray) -> np.ndarray:
+        """Inverse of a square matrix over GF(q) by Gauss-Jordan
+        elimination; raises ZeroDivisionError if A is singular."""
+        n = len(A)
+        M = np.concatenate([A, np.eye(n, dtype=self._dtype)], axis=1)
+        for col in range(n):
+            nonzero = np.flatnonzero(M[col:, col])
+            if nonzero.size == 0:
+                raise ZeroDivisionError(f"singular matrix over GF({self.order})")
+            piv = col + nonzero[0]
+            M[[col, piv]] = M[[piv, col]]
+            M[col] = self.vmul(M[col], self.inv(int(M[col, col])))
+            factors = M[:, col].copy()
+            factors[col] = 0
+            M = self.vsub(M, self.vmul(factors[:, None], M[col]))
+        return M[:, n:]
+
     # -- multiplicative tables -------------------------------------------
 
     def _raw_mul(self, a, b):
@@ -243,7 +343,6 @@ class Field:
                     log[v] = i
                 self._exp = exp + exp  # avoid a mod in mul
                 self._log = log
-                self.generator = g
                 return
         raise AssertionError(f"no primitive element found in GF({q})")
 

@@ -37,7 +37,7 @@ from .coding import (
     nested_decode,
     nested_encode,
 )
-from .gf import Field
+from .gf import Field, field as make_field
 from .sequences import DutyFactor, ProtocolSequence, SequenceSet, construct_sequences
 
 # Channel activity symbols.
@@ -749,13 +749,15 @@ class ExperimentConfig:
     def sequence_set(self) -> SequenceSet:
         return construct_sequences(self.duties)
 
+    @property
+    def frame_length(self) -> int:
+        """Packets in the longest frame: a duty n/d sends n*d^2 per period."""
+        return max(f.numerator * f.denominator**2 for f in self.duties)
+
     def field_order(self) -> int:
         if self.field_q is not None:
             return self.field_q
-        need = max(
-            f.numerator * f.denominator**2 for f in self.duties
-        )
-        q = max(need, 2)
+        q = max(self.frame_length, 2)
         while not _is_prime(q):
             q += 1
         return q
@@ -800,7 +802,14 @@ def parse_config(data: dict) -> ExperimentConfig:
     offsets = list(data.get("offsets", [0] * spec.M))
     if len(offsets) != spec.M:
         raise NetworkError(f"need {spec.M} offsets, got {len(offsets)}")
-    return ExperimentConfig(
+    period = int(denom) ** 3
+    for j, rate in enumerate(rates, start=1):
+        if (rate * period).denominator != 1:
+            raise NetworkError(
+                f"rate {rate} of source {j} gives {rate * period} symbols "
+                f"per period of {period} slots, not a whole number"
+            )
+    cfg = ExperimentConfig(
         spec=spec,
         duties=duties,
         rates=rates or [Fraction(0)] * spec.N,
@@ -810,3 +819,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         m=int(data.get("m", 3)),
         g=int(data.get("g", 4)),
     )
+    if cfg.field_q is not None:
+        try:
+            make_field(cfg.field_q)
+        except (ValueError, TypeError) as exc:
+            raise NetworkError(f"bad field_q: {exc}") from exc
+        if cfg.frame_length > cfg.field_q:
+            raise NetworkError(
+                f"frame length {cfg.frame_length} exceeds field order {cfg.field_q}"
+            )
+    return cfg

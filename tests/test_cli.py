@@ -73,6 +73,23 @@ def test_malformed_config_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("change, reason", [
+    ({"field_q": 6}, "6 is not a prime power"),
+    ({"field_q": 5}, "frame length 9 exceeds field order 5"),
+    ({"rates": ["1/10", "1/10"]}, "not a whole number"),
+])
+def test_malformed_field_and_rates_exit_2(tmp_path, capsys, change, reason):
+    cfg = json.loads(Path(EXAMPLE1).read_text())
+    cfg.update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(bad)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+
+
 def test_regions(small_config, capsys):
     assert main(["regions", "--config", small_config]) == 0
     got = capsys.readouterr().out

@@ -15,12 +15,13 @@ from tandemnet.coding import (
     nested_encode,
     nested_polynomial,
     poly_add,
-    poly_eval,
     poly_shift,
     rs_decode,
     rs_encode,
 )
 from tandemnet.gf import field
+
+from reference_codec import poly_eval
 
 
 def naive_eval(f, coeffs, x):

@@ -104,3 +104,57 @@ def test_char_and_degree():
 
 def test_field_cache_returns_same_object():
     assert field(11) is field(11)
+
+
+# GF(p), GF(2^m), GF(3^m), GF(5^2), and a prime whose products overflow int64
+ARRAY_ORDERS = [2, 11, 4, 16, 256, 9, 27, 25, 4294967311]
+
+
+@pytest.mark.parametrize("q", ARRAY_ORDERS)
+def test_array_ops_match_scalar(q):
+    f = field(q)
+    rng = random.Random(q)
+    a = [0, 0, q - 1] + [rng.randrange(q) for _ in range(200)]
+    b = [0, q - 1, 0] + [rng.randrange(q) for _ in range(200)]
+    x, y = f.array(a), f.array(b)
+    assert f.vadd(x, y).tolist() == [f.add(u, v) for u, v in zip(a, b)]
+    assert f.vsub(x, y).tolist() == [f.sub(u, v) for u, v in zip(a, b)]
+    assert f.vmul(x, y).tolist() == [f.mul(u, v) for u, v in zip(a, b)]
+
+
+@pytest.mark.parametrize("q", ARRAY_ORDERS)
+def test_matvec_and_inverse(q):
+    f = field(q)
+    rng = random.Random(q)
+    for n in (1, 2, 5):
+        A = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        v = [rng.randrange(q) for _ in range(n)]
+        want = []
+        for row in A:
+            acc = 0
+            for c, w in zip(row, v):
+                acc = f.add(acc, f.mul(c, w))
+            want.append(acc)
+        M = f.array(A)
+        assert f.matvec(M, f.array(v)).tolist() == want
+        try:
+            inv = f.inverse(M)
+        except ZeroDivisionError:
+            continue
+        assert f.matvec(inv, f.matvec(M, f.array(v))).tolist() == v
+    singular = f.array([[1, 1], [1, 1]])
+    with pytest.raises(ZeroDivisionError):
+        f.inverse(singular)
+
+
+@pytest.mark.parametrize("bad", [[7], [0, -1], [2**70], [[1, 2], [3, 8]]])
+def test_array_rejects_non_elements(bad):
+    with pytest.raises(ValueError):
+        field(7).array(bad)
+
+
+def test_array_tables_built_on_first_use():
+    f = Field(27)
+    assert "_digit_table" not in vars(f) and "_exp_array" not in vars(f)
+    f.vmul(f.vadd(f.array([1, 2]), f.array([3, 4])), f.array([5, 6]))
+    assert "_digit_table" in vars(f) and "_exp_array" in vars(f)
