@@ -74,9 +74,6 @@ IRREDUCIBLE_POLYS = {
     (61, 2): 3723,
 }
 
-# Cutoff below which exp/log tables are built for O(1) multiplication.
-_TABLE_LIMIT = 4096
-
 
 def _factor_prime_power(q: int):
     if q < 2:
@@ -113,7 +110,7 @@ class Field:
         self._log = None
         # Array products of two elements must not wrap around in int64.
         self._dtype = np.int64 if (q - 1) ** 2 < 2**63 else object
-        if m > 1 and q <= _TABLE_LIMIT:
+        if m > 1:
             self._build_tables()
 
     # -- representation helpers ------------------------------------------
@@ -173,9 +170,7 @@ class Field:
             return (a * b) % self.char
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._polymul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def _polymul(self, a: int, b: int) -> int:
         p, m = self.char, self.degree
@@ -204,11 +199,9 @@ class Field:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.order})")
-        if self._exp is not None and self.degree > 1:
-            return self._exp[(self.order - 1) - self._log[a]]
         if self.degree == 1:
             return pow(a, self.char - 2, self.char)
-        return self.pow(a, self.order - 2)
+        return self._exp[(self.order - 1) - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -318,11 +311,6 @@ class Field:
 
     # -- multiplicative tables -------------------------------------------
 
-    def _raw_mul(self, a, b):
-        if self.degree == 1:
-            return (a * b) % self.char
-        return self._polymul(a, b)
-
     def _build_tables(self):
         q = self.order
         for g in range(2, q):
@@ -336,7 +324,7 @@ class Field:
                     break
                 seen[cur] = True
                 exp.append(cur)
-                cur = self._raw_mul(cur, g)
+                cur = self._polymul(cur, g)
             if ok and cur == 1:
                 log = [0] * q
                 for i, v in enumerate(exp):

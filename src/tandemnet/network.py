@@ -38,7 +38,13 @@ from .coding import (
     nested_encode,
 )
 from .gf import Field, field as make_field
-from .sequences import DutyFactor, ProtocolSequence, SequenceSet, construct_sequences
+from .sequences import (
+    DutyFactor,
+    ProtocolSequence,
+    SequenceSet,
+    _roll_matrix,
+    construct_sequences,
+)
 
 # Channel activity symbols.
 TRANSMIT = "Δ"  # node's own transmission slots
@@ -170,9 +176,6 @@ class SimTrace:
     def record(self, slot, node, action, value=None):
         self.rows.append((slot, node, action, value))
 
-    def node_rows(self, node):
-        return [r for r in self.rows if r[1] == node]
-
     def export_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -211,15 +214,6 @@ def activity_signal(trace: SimTrace, node: int, start: int = 0) -> ChannelActivi
 
 # -- sender identification ----------------------------------------------
 
-def _delay_table(seq: Optional[ProtocolSequence], P: int) -> np.ndarray:
-    """Row tau is the sequence delayed by tau (all-zero when absent)."""
-    if seq is None:
-        return np.zeros((1, P), dtype=np.int64)
-    arr = np.asarray(seq.bits, dtype=np.int64)
-    idx = (np.arange(P)[None, :] - np.arange(P)[:, None]) % P
-    return arr[idx]
-
-
 def identify_senders(
     signal: ChannelActivitySignal,
     own_seq: ProtocolSequence,
@@ -254,9 +248,13 @@ def identify_senders(
     observed[sym == SINGLE] = 1
     observed[sym == COLLISION] = 2
 
-    # rows are hypothesized activity patterns, aligned to the signal window
-    left_tab = np.roll(_delay_table(left_seq, P), start, axis=1)
-    right_tab = np.roll(_delay_table(right_seq, P), start, axis=1)
+    # rows are hypothesized activity patterns, aligned to the signal window;
+    # an absent neighbor is one all-silent row
+    silent = np.zeros((1, P), dtype=np.int64)
+    left_tab, right_tab = (
+        np.roll(silent if seq is None else _roll_matrix(seq), start, axis=1)
+        for seq in (left_seq, right_seq)
+    )
     counts = left_tab[:, None, :] + right_tab[None, :, :]  # (TL, TR, P)
     ok = np.all(counts[:, :, listening] == observed[listening], axis=2)
     hits = np.argwhere(ok)
@@ -792,6 +790,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise NetworkError(f"bad config: {exc}\n\n{CONFIG_SCHEMA}") from exc
     if len(duties_raw) != spec.M:
         raise NetworkError(f"need {spec.M} duties, got {len(duties_raw)}")
+    for f in duties_raw:
+        if not 0 <= f <= 1:
+            raise NetworkError(f"duty {f} lies outside [0, 1]")
     denom = 1
     for f in duties_raw:
         denom = denom * f.denominator // np.gcd(denom, f.denominator)

@@ -12,9 +12,11 @@ evaluates:
   slotted ALOHA with network coding at the relays,
 
 plus optimizers for the maximal symmetric rate and two-source region
-boundaries.  Membership predicates work in exact rational arithmetic;
-the optimizers use numpy duty-factor grids and re-derive the winning
-value exactly.
+boundaries.  Membership predicates work in exact rational arithmetic.
+The duty-parameterized schemes are optimized by one chunked numpy sweep
+of a duty-factor grid, and capacity and outer re-derive the winning
+value exactly; pure ALOHA is optimized by a seeded coordinate descent
+over intensities.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .network import NetworkSpec, RelaySets, Source, relay_sets
+from .network import NetworkSpec, Source, relay_sets
 
 SCHEMES = ("capacity", "outer", "pure", "slotted", "nc-slotted")
 
@@ -41,20 +43,42 @@ class Constraint:
     direction: str  # "fwd" or "bwd"
     sources: tuple
 
+    @property
+    def step(self) -> int:
+        """+1 toward higher node numbers, -1 toward lower ones."""
+        return 1 if self.direction == "fwd" else -1
 
-def _duty(f: Sequence, i: int):
-    """Duty factor of node i, zero outside the line."""
-    return f[i - 1] if 1 <= i <= len(f) else 0
+
+def _link_bound(f, i: int, step: int):
+    """Zero-error symbol rate of node i's link toward node i + step: node
+    i sends while the receiver and the two-hop interferer beyond it are
+    silent.  ``f`` maps node to duty, absent nodes are silent; duties may
+    be Fractions, floats or broadcasting arrays."""
+    return f.get(i, 0) * (1 - f.get(i + step, 0)) * (1 - f.get(i + 2 * step, 0))
 
 
-def _link_bound(f: Sequence, i: int, direction: str):
-    """Zero-error symbol rate of node i's forward or backward link."""
-    step = 1 if direction == "fwd" else -1
-    return (
-        _duty(f, i)
-        * (1 - _duty(f, i + step))
-        * (1 - _duty(f, i + 2 * step))
-    )
+def _exp(x):
+    """``math.exp`` elementwise.  numpy's exp can differ from it in the
+    last bit, which would let batched and scalar evaluations disagree."""
+    if np.ndim(x) == 0:
+        return math.exp(x)
+    return np.array([math.exp(v) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+def _success(scheme: str, f, i: int, step: int):
+    """Per-slot success rate of node i's transmissions toward node
+    i + step under an ALOHA scheme, before splitting among traffic
+    classes; ``f`` maps node to intensity as in ``_link_bound``.  A pure
+    ALOHA packet needs the receiver and the two-hop interferer silent for
+    its whole (unit) duration around its start."""
+    if scheme != "pure":
+        return _link_bound(f, i, step)
+    return f.get(i, 0) * _exp(-2.0 * (f.get(i + step, 0) + f.get(i + 2 * step, 0)))
+
+
+def _min(values):
+    """Elementwise minimum of broadcasting arrays; inf when empty."""
+    return reduce(np.minimum, values, np.inf)
 
 
 def capacity_constraints(spec: NetworkSpec) -> List[Constraint]:
@@ -91,12 +115,16 @@ def outer_constraints(spec: NetworkSpec) -> List[Constraint]:
     return out
 
 
+def _constraints(spec: NetworkSpec, kind: str) -> List[Constraint]:
+    return capacity_constraints(spec) if kind == "capacity" else outer_constraints(spec)
+
+
 def _check_constraints(constraints, f, R) -> bool:
-    for c in constraints:
-        load = sum(R[j - 1] for j in c.sources)
-        if load > _link_bound(f, c.node, c.direction):
-            return False
-    return True
+    duties = dict(enumerate(f, 1))
+    return all(
+        sum(R[j - 1] for j in c.sources) <= _link_bound(duties, c.node, c.step)
+        for c in constraints
+    )
 
 
 def achievable_point(spec: NetworkSpec, f: Sequence, R: Sequence) -> bool:
@@ -148,23 +176,6 @@ class AlohaParams:
                 raise ValueError("each split must be 3 nonnegative shares summing to <= 1")
 
 
-def _aloha_success(params: AlohaParams, i: int, direction: str) -> float:
-    """Per-slot success rate of node i's transmissions toward one
-    neighbor, before splitting among traffic classes."""
-    lam = params.intensity
-    M = len(lam)
-
-    def g(n):
-        return lam[n - 1] if 1 <= n <= M else 0.0
-
-    step = 1 if direction == "fwd" else -1
-    if params.scheme == "pure":
-        # receiver and two-hop interferer must both be silent for the
-        # packet's whole (unit) duration around its start
-        return g(i) * math.exp(-2.0 * (g(i + step) + g(i + 2 * step)))
-    return g(i) * (1.0 - g(i + step)) * (1.0 - g(i + 2 * step))
-
-
 def aloha_region_point(spec: NetworkSpec, params: AlohaParams, R: Sequence) -> bool:
     """Is the rate vector supported by the given ALOHA parameters?
 
@@ -177,18 +188,18 @@ def aloha_region_point(spec: NetworkSpec, params: AlohaParams, R: Sequence) -> b
         raise ValueError("ALOHA parameters must cover every node")
     _validate_point(spec, [0] * spec.M, R)
     rsets = relay_sets(spec)
+    lam = {i: float(x) for i, x in enumerate(params.intensity, 1)}
     eps = 1e-12
     for i in range(1, spec.M + 1):
         p_s, p_f, p_b = params.splits[i - 1]
         src_load = sum(R[j - 1] for j in spec.attached_at(i))
         fwd_load = sum(R[j - 1] for j in rsets.fwd[i])
         bwd_load = sum(R[j - 1] for j in rsets.bwd[i])
-        succ_f = _aloha_success(params, i, "fwd")
-        succ_b = _aloha_success(params, i, "bwd")
+        succ_f = _success(params.scheme, lam, i, 1)
+        succ_b = _success(params.scheme, lam, i, -1)
         if params.scheme == "nc-slotted":
             p_r = 1.0 - p_s
             checks = [
-                (src_load, p_s * min(succ_f, succ_b) if src_load else 1.0),
                 (fwd_load, p_r * succ_f),
                 (bwd_load, p_r * succ_b),
             ]
@@ -196,7 +207,6 @@ def aloha_region_point(spec: NetworkSpec, params: AlohaParams, R: Sequence) -> b
             if src_load and not (src_load <= p_s * succ_f + eps
                                  and src_load <= p_s * succ_b + eps):
                 return False
-            checks = checks[1:]
         else:
             checks = [
                 (src_load, p_s * min(succ_f, succ_b)),
@@ -249,7 +259,7 @@ def active_nodes(spec: NetworkSpec) -> List[int]:
     return [i for i in range(1, spec.M + 1) if any(weights[i - 1])]
 
 
-def _node_symmetric_rate(scheme, w, succ_f, succ_b, src_share=None):
+def _node_symmetric_rate(scheme, w, succ_f, succ_b):
     """Largest common rate one node supports, with its transmissions (or
     success rate) split optimally among its traffic classes.
 
@@ -259,42 +269,41 @@ def _node_symmetric_rate(scheme, w, succ_f, succ_b, src_share=None):
     combination; with network coding the two relay directions share one
     stream and only the worse direction counts.
     """
+    def load(weight, succ):
+        # share of transmissions one unit of rate needs; inf if it cannot get through
+        if not weight:
+            return 0.0
+        return np.where(succ > 0, weight / np.where(succ > 0, succ, 1), np.inf)
+
     w_s, w_f, w_b = w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_f = np.where(succ_f > 0, w_f / np.where(succ_f > 0, succ_f, 1), np.inf)
-        inv_b = np.where(succ_b > 0, w_b / np.where(succ_b > 0, succ_b, 1), np.inf)
-        succ_min = np.minimum(succ_f, succ_b)
-        inv_s = np.where(succ_min > 0, w_s / np.where(succ_min > 0, succ_min, 1), np.inf)
-        if w_f == 0:
-            inv_f = np.zeros_like(inv_f + 0.0)
-        if w_b == 0:
-            inv_b = np.zeros_like(inv_b + 0.0)
-        if w_s == 0:
-            inv_s = np.zeros_like(inv_s + 0.0)
-        if scheme == "nc-slotted":
-            denom = inv_s + np.maximum(inv_f, inv_b)
-        else:
-            denom = inv_s + inv_f + inv_b
-        rate = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1), np.inf)
-    return rate
+    inv_s = load(w_s, np.minimum(succ_f, succ_b))
+    inv_f, inv_b = load(w_f, succ_f), load(w_b, succ_b)
+    if scheme == "nc-slotted":
+        denom = inv_s + np.maximum(inv_f, inv_b)
+    else:
+        denom = inv_s + inv_f + inv_b
+    return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1), np.inf)
 
 
-def _capacity_node_rate(constraints, i, f_arrays):
-    """Symmetric-rate bound from the deterministic scheme's constraints
-    touching node i (arrays broadcast)."""
-    best = None
-    for c in constraints:
-        if c.node != i:
-            continue
-        step = 1 if c.direction == "fwd" else -1
-        bound = (
-            f_arrays.get(i, 0.0)
-            * (1.0 - f_arrays.get(i + step, 0.0))
-            * (1.0 - f_arrays.get(i + 2 * step, 0.0))
+def _symmetric_objective(spec: NetworkSpec, scheme: str) -> Callable:
+    """The common rate as a function of node -> duty (or intensity),
+    minimized over the active nodes' links; arrays broadcast."""
+    nodes = active_nodes(spec)
+    if scheme in ("capacity", "outer"):
+        links = [(c.node, c.step, len(c.sources))
+                 for c in _constraints(spec, scheme) if c.node in nodes]
+        return lambda f: _min(_link_bound(f, i, step) / n for i, step, n in links)
+    weights = _traffic_weights(spec)
+
+    def rate(f):
+        r = _min(
+            _node_symmetric_rate(scheme, weights[i - 1], _success(scheme, f, i, 1),
+                                 _success(scheme, f, i, -1))
+            for i in nodes
         )
-        r = bound / len(c.sources)
-        best = r if best is None else np.minimum(best, r)
-    return best
+        return np.where(r == np.inf, 0.0, r)
+
+    return rate
 
 
 def _grid_values(grid_step: Fraction) -> List[Fraction]:
@@ -304,72 +313,107 @@ def _grid_values(grid_step: Fraction) -> List[Fraction]:
     return [Fraction(k, steps) for k in range(steps + 1)]
 
 
-def _symmetric_rate_arrays(spec, scheme, f_arrays, constraints=None):
-    """min over nodes of the per-node symmetric bound; arrays broadcast."""
-    weights = _traffic_weights(spec)
-    total = None
-    for i in active_nodes(spec):
-        if scheme in ("capacity", "outer"):
-            r = _capacity_node_rate(constraints, i, f_arrays)
-        else:
-            succ_f = (
-                f_arrays.get(i, 0.0)
-                * (1.0 - f_arrays.get(i + 1, 0.0))
-                * (1.0 - f_arrays.get(i + 2, 0.0))
-            )
-            succ_b = (
-                f_arrays.get(i, 0.0)
-                * (1.0 - f_arrays.get(i - 1, 0.0))
-                * (1.0 - f_arrays.get(i - 2, 0.0))
-            )
-            r = _node_symmetric_rate(scheme, weights[i - 1], succ_f, succ_b)
-        if r is None:
-            continue
-        total = r if total is None else np.minimum(total, r)
-    return total
+def _grid_max(nodes: List[int], grid_step: Fraction, evaluate: Callable):
+    """Largest value of ``evaluate`` over the duty grid of ``nodes`` and
+    the first grid point, in lexicographic order, that attains it.
+
+    ``evaluate`` maps node -> duty (a broadcasting array) to values.  The
+    sweep takes one chunk per duty of the first node, so it holds
+    (1/grid_step + 1)^(len(nodes) - 1) values at a time.  Returns
+    (value, {node: Fraction duty}), or (-inf, None) if no value beats -inf.
+    """
+    values = _grid_values(grid_step)
+    n, k = len(values), len(nodes)
+    axis = np.array([float(v) for v in values])
+    shape = (n,) * max(k - 1, 0)
+    f = {node: axis.reshape([n if a == pos else 1 for a in range(k - 1)])
+         for pos, node in enumerate(nodes[1:])}
+    best, best_idx = -np.inf, None
+    for i0 in range(n if k else 1):
+        if k:
+            f[nodes[0]] = axis[i0]
+        chunk = np.broadcast_to(evaluate(f), shape)
+        flat = int(np.argmax(chunk))
+        if chunk.flat[flat] > best:
+            best = float(chunk.flat[flat])
+            best_idx = (i0, *np.unravel_index(flat, shape))
+    if best_idx is None:
+        return best, None
+    return best, {node: values[j] for node, j in zip(nodes, best_idx)}
+
+
+def _all_duties(spec: NetworkSpec, duties: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    """``duties`` extended to every node, silent where absent."""
+    return {i: duties.get(i, Fraction(0)) for i in range(1, spec.M + 1)}
+
+
+def _replay(values, xs, cur, cand, margin):
+    """The sequential scan rule: take a point that beats the current best
+    by more than ``margin``."""
+    for v, x in zip(values, xs):
+        if v > cur + margin:
+            cur, cand = v, x
+    return cur, cand
+
+
+def _descend(nodes, evaluate, seed, restarts, widths, sweeps=25):
+    """Seeded coordinate descent of ``evaluate`` over intensities in
+    [0, 1]; returns (best value, {node: intensity}).
+
+    Restart 0 starts every node at 0.25, the others at seeded uniform
+    draws.  Each coordinate is scanned at 41 points, then refined at 21
+    points within each of ``widths`` around the current choice; a point
+    is taken when it beats the current value by more than 1e-12 (1e-13
+    when refining).  Each scan is evaluated as one array and the rule is
+    replayed over it in order, so the search path is the sequential one.
+    """
+    def batch(lam, i, xs):
+        f = {n: np.float64(v) for n, v in lam.items()}
+        f[i] = np.asarray(xs, dtype=float)
+        return np.broadcast_to(evaluate(f), np.shape(xs)).tolist()
+
+    rng = np.random.default_rng(seed)
+    best = (-np.inf, {})
+    for trial in range(restarts):
+        lam = {i: 0.25 if trial == 0 else float(rng.uniform(0, 1)) for i in nodes}
+        for _ in range(sweeps):
+            improved = False
+            for i in nodes:
+                orig = lam[i]
+                xs = np.linspace(0.0, 1.0, 41).tolist()
+                cur, *values = batch(lam, i, [orig] + xs)
+                cur, cand = _replay(values, xs, cur, orig, 1e-12)
+                for width in widths:
+                    xs = np.linspace(max(0, cand - width), min(1, cand + width), 21).tolist()
+                    cur, cand = _replay(batch(lam, i, xs), xs, cur, cand, 1e-13)
+                if abs(cand - orig) > 1e-9:
+                    improved = True
+                lam[i] = cand
+            if not improved:
+                break
+        v = float(evaluate({n: np.float64(x) for n, x in lam.items()}))
+        if v > best[0]:
+            best = (v, lam)
+    return best
 
 
 def _exact_symmetric_rate(spec, scheme, duties: Dict[int, Fraction]) -> Fraction:
-    """Exact-rational recomputation of the symmetric bound at one duty
-    assignment (capacity/outer/slotted/nc-slotted)."""
-    weights = _traffic_weights(spec)
-
-    def duty(i):
-        return duties.get(i, Fraction(0))
-
-    def bound(i, step):
-        return duty(i) * (1 - duty(i + step)) * (1 - duty(i + 2 * step))
-
-    best = None
+    """Exact-rational recomputation of the symmetric bound at a duty
+    assignment that covers every node (capacity/outer/slotted/nc-slotted)."""
     if scheme in ("capacity", "outer"):
-        cons = capacity_constraints(spec) if scheme == "capacity" else outer_constraints(spec)
-        for c in cons:
-            step = 1 if c.direction == "fwd" else -1
-            r = bound(c.node, step) / len(c.sources)
-            best = r if best is None else min(best, r)
-        return best if best is not None else Fraction(0)
+        return min((_link_bound(duties, c.node, c.step) / len(c.sources)
+                    for c in _constraints(spec, scheme)), default=Fraction(0))
+    weights = _traffic_weights(spec)
+    rates = []
     for i in active_nodes(spec):
-        w_s, w_f, w_b = weights[i - 1]
-        sf, sb = bound(i, 1), bound(i, -1)
-        terms = []
-        if w_s:
-            if min(sf, sb) == 0:
-                return Fraction(0)
-            terms.append(Fraction(w_s) / min(sf, sb))
-        relay_terms = []
-        for w, s in ((w_f, sf), (w_b, sb)):
-            if w:
-                if s == 0:
-                    return Fraction(0)
-                relay_terms.append(Fraction(w) / s)
-        if scheme == "nc-slotted" and relay_terms:
-            terms.append(max(relay_terms))
-        else:
-            terms.extend(relay_terms)
-        if terms:
-            r = 1 / sum(terms)
-            best = r if best is None else min(best, r)
-    return best if best is not None else Fraction(0)
+        sf, sb = _link_bound(duties, i, 1), _link_bound(duties, i, -1)
+        loads = list(zip(weights[i - 1], (min(sf, sb), sf, sb)))
+        if any(w and not s for w, s in loads):
+            return Fraction(0)
+        inv_s, inv_f, inv_b = (Fraction(w) / s if w else 0 for w, s in loads)
+        relay = max(inv_f, inv_b) if scheme == "nc-slotted" else inv_f + inv_b
+        rates.append(1 / (inv_s + relay))
+    return min(rates, default=Fraction(0))
 
 
 def max_symmetric_rate(
@@ -378,181 +422,75 @@ def max_symmetric_rate(
     grid_step: Fraction = Fraction(1, 60),
     seed: int = 0,
     restarts: int = 20,
-    predicate: Optional[Callable] = None,
 ) -> SymmetricRateResult:
     """Maximal common rate over the scheme's free parameters.
 
     The duty-parameterized schemes are maximized over a duty-factor grid
     (only traffic-carrying nodes vary; the rest stay silent) and the
     winner is recomputed in exact rationals.  Pure ALOHA is maximized by
-    seeded coordinate descent over intensities in [0, 1].  A custom
-    membership ``predicate(f, r) -> bool`` may replace the built-in
-    schemes; it is maximized by grid search plus bisection on the rate.
+    seeded coordinate descent over intensities in [0, 1].
     """
-    if predicate is not None:
-        return _max_symmetric_predicate(spec, predicate, grid_step)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    nodes = active_nodes(spec)
+    objective = _symmetric_objective(spec, scheme)
     if scheme == "pure":
-        return _max_symmetric_pure(spec, seed=seed, restarts=restarts)
-
-    nodes = active_nodes(spec)
-    if not nodes:
-        return SymmetricRateResult(scheme, 0.0, Fraction(0), (Fraction(0),) * spec.M)
-    values = _grid_values(grid_step)
-    vals = np.array([float(v) for v in values])
-    n = len(values)
-    k = len(nodes)
-    constraints = None
-    if scheme in ("capacity", "outer"):
-        constraints = (
-            capacity_constraints(spec) if scheme == "capacity" else outer_constraints(spec)
-        )
-
-    best_rate = -1.0
-    best_idx = None
-    # chunk over the first active node's duty to bound memory
-    inner_shape = (n,) * (k - 1)
-    for i0 in range(n):
-        f_arrays: Dict[int, np.ndarray] = {}
-        for pos, node in enumerate(nodes):
-            if pos == 0:
-                f_arrays[node] = np.full(inner_shape or (1,), vals[i0])
-            else:
-                shape = [1] * max(k - 1, 1)
-                shape[pos - 1] = n
-                f_arrays[node] = vals.reshape(shape)
-        rate = _symmetric_rate_arrays(spec, scheme, f_arrays, constraints)
-        rate = np.broadcast_to(rate, inner_shape or (1,))
-        flat = int(np.argmax(rate))
-        if rate.flat[flat] > best_rate + 1e-15:
-            best_rate = float(rate.flat[flat])
-            rest = np.unravel_index(flat, inner_shape) if inner_shape else ()
-            best_idx = (i0,) + tuple(int(x) for x in rest)
-
-    duties = {node: values[best_idx[pos]] for pos, node in enumerate(nodes)}
+        rate, lam = _descend(nodes, objective, seed, restarts, (0.025, 0.0025, 0.00025))
+        return SymmetricRateResult(
+            "pure", rate, None, tuple(lam.get(i, 0.0) for i in range(1, spec.M + 1)))
+    _, witness = _grid_max(nodes, grid_step, objective)
+    duties = _all_duties(spec, witness)
     exact = _exact_symmetric_rate(spec, scheme, duties)
-    params = tuple(duties.get(i, Fraction(0)) for i in range(1, spec.M + 1))
-    return SymmetricRateResult(scheme, float(exact), exact, params)
-
-
-def _max_symmetric_pure(spec, seed=0, restarts=20, sweeps=25):
-    weights = _traffic_weights(spec)
-    nodes = active_nodes(spec)
-    M = spec.M
-
-    def objective(lam):
-        total = np.inf
-        for i in nodes:
-            def g(nn):
-                return lam[nn - 1] if 1 <= nn <= M else 0.0
-            succ_f = g(i) * math.exp(-2.0 * (g(i + 1) + g(i + 2)))
-            succ_b = g(i) * math.exp(-2.0 * (g(i - 1) + g(i - 2)))
-            r = float(_node_symmetric_rate("pure", weights[i - 1],
-                                           np.float64(succ_f), np.float64(succ_b)))
-            total = min(total, r)
-        return total if total != np.inf else 0.0
-
-    rng = np.random.default_rng(seed)
-    best = (0.0, [0.0] * M)
-    for trial in range(restarts):
-        lam = [0.0] * M
-        for i in nodes:
-            lam[i - 1] = 0.25 if trial == 0 else float(rng.uniform(0, 1))
-        for _ in range(sweeps):
-            improved = False
-            for i in nodes:
-                orig = cand = lam[i - 1]
-                cur = objective(lam)
-                for x in np.linspace(0.0, 1.0, 41):
-                    lam[i - 1] = float(x)
-                    v = objective(lam)
-                    if v > cur + 1e-12:
-                        cur, cand = v, float(x)
-                # local refinement around the best grid point
-                for width in (0.025, 0.0025, 0.00025):
-                    for x in np.linspace(max(0, cand - width), min(1, cand + width), 21):
-                        lam[i - 1] = float(x)
-                        v = objective(lam)
-                        if v > cur + 1e-13:
-                            cur, cand = v, float(x)
-                if abs(cand - orig) > 1e-9:
-                    improved = True
-                lam[i - 1] = cand
-            if not improved:
-                break
-        v = objective(lam)
-        if v > best[0]:
-            best = (v, list(lam))
-    return SymmetricRateResult("pure", best[0], None, tuple(best[1]))
-
-
-def _max_symmetric_predicate(spec, predicate, grid_step):
-    """Grid search over duties plus bisection on the common rate for an
-    arbitrary membership predicate(f, r)."""
-    nodes = active_nodes(spec)
-    values = _grid_values(grid_step)
-
-    def max_rate_at(f):
-        if not predicate(f, 0.0):
-            return -1.0
-        lo, hi = 0.0, 1.0
-        while predicate(f, hi) and hi < 1e6:
-            hi *= 2
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if predicate(f, mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    best = (-1.0, None)
-    for combo in product(values, repeat=len(nodes)):
-        f = [Fraction(0)] * spec.M
-        for pos, node in enumerate(nodes):
-            f[node - 1] = combo[pos]
-        r = max_rate_at(f)
-        if r > best[0] + 1e-15:
-            best = (r, tuple(f))
-    return SymmetricRateResult("custom", best[0], None, best[1])
+    return SymmetricRateResult(scheme, float(exact), exact, tuple(duties.values()))
 
 
 # -- two-source region boundaries ---------------------------------------
 
-def _two_source_rate2_bound(spec, scheme, f_arrays, weights_pairs, r1):
-    """max feasible R2 at fixed R1 as an array over the duty grid.
+def _split_rate2(spec: NetworkSpec, scheme: str, r1: float) -> Callable:
+    """Largest R2 at fixed R1 under an ALOHA scheme as a function of
+    node -> duty (or intensity); arrays broadcast.
 
-    ``weights_pairs``: per node and direction, the (count of source-1,
-    count of source-2) loads on that link.
+    Each node splits its transmissions among traffic classes.  A class
+    carries one source and needs the success rate of one direction
+    (relays) or of the worse direction (own sources; with network coding
+    also the one coded relay stream, which serves both directions).  R1's
+    classes take their shares first and source 2 gets what is left.
+    Returns -inf where R1 alone overloads a node, 0.0 where a source-2
+    class has zero success, and 1.0 where no node limits R2.
     """
-    total = None
-    for (i, step), (w1, w2) in weights_pairs.items():
-        bound = (
-            f_arrays.get(i, 0.0)
-            * (1.0 - f_arrays.get(i + step, 0.0))
-            * (1.0 - f_arrays.get(i + 2 * step, 0.0))
-        )
-        slack = bound - w1 * r1
-        if w2 == 0:
-            # infeasible whenever a source-1-only link is overloaded
-            r = np.where(slack >= -1e-12, np.inf, -np.inf)
+    rsets = relay_sets(spec)
+    layout = []  # per node: (node, source-1 classes, source-2 classes)
+    for i in active_nodes(spec):
+        # a class is its direction: +1, -1, or 0 for the worse of the two
+        classes = [(j, 0) for j in (1, 2) if j in spec.attached_at(i)
+                   and any(d != i for d in spec.source(j).demands)]
+        if scheme == "nc-slotted":
+            for j in (1, 2):
+                fwd, bwd = j in rsets.fwd[i], j in rsets.bwd[i]
+                if fwd or bwd:
+                    classes.append((j, 0 if fwd and bwd else (1 if fwd else -1)))
         else:
-            r = np.where(slack >= -1e-12, slack / w2, -np.inf)
-        total = r if total is None else np.minimum(total, r)
-    return total
+            classes += [(j, 1) for j in sorted(rsets.fwd[i])]
+            classes += [(j, -1) for j in sorted(rsets.bwd[i])]
+        layout.append((i, [d for j, d in classes if j == 1], [d for j, d in classes if j == 2]))
 
+    def evaluate(f):
+        per_node = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, cls1, cls2 in layout:
+                succ = {1: _success(scheme, f, i, 1), -1: _success(scheme, f, i, -1)}
+                succ[0] = np.minimum(succ[1], succ[-1])
+                # a zero R1 needs no share, not even of a link that never succeeds
+                used1 = sum(r1 / succ[d] for d in cls1) if r1 > 0 else 0.0
+                leftover = 1.0 - used1
+                r2 = np.inf
+                if cls2:
+                    r2 = np.maximum(leftover, 0.0) / sum(1.0 / succ[d] for d in cls2)
+                per_node.append(np.where(leftover < -1e-12, -np.inf, r2))
+        r = _min(per_node)
+        return np.where(r == np.inf, 1.0, r)
 
-def _two_source_weight_pairs(spec, scheme):
-    cons = capacity_constraints(spec) if scheme == "capacity" else outer_constraints(spec)
-    pairs = {}
-    for c in cons:
-        step = 1 if c.direction == "fwd" else -1
-        pairs[(c.node, step)] = (
-            sum(1 for j in c.sources if j == 1),
-            sum(1 for j in c.sources if j == 2),
-        )
-    return pairs
+    return evaluate
 
 
 def max_rate2_given_rate1(
@@ -563,252 +501,47 @@ def max_rate2_given_rate1(
     seed: int = 0,
 ) -> float:
     """Largest R2 with (R1, R2) in the scheme's region, or -inf when R1
-    alone is already infeasible.  Two-source networks only."""
+    alone is already infeasible.  Two-source networks only.
+
+    Pure ALOHA is searched by coordinate descent (4 seeded restarts), the
+    other schemes over the duty grid; capacity and outer recompute the
+    winner exactly and return a Fraction when ``r1`` is one.
+    """
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
-    if scheme == "pure":
-        return _pure_rate2_given_rate1(spec, r1, seed=seed)
-    if scheme in ("slotted", "nc-slotted"):
-        return _slotted_rate2_given_rate1(spec, scheme, r1, grid_step)
-    pairs = _two_source_weight_pairs(spec, scheme)
     nodes = active_nodes(spec)
-    values = _grid_values(grid_step)
-    vals = np.array([float(v) for v in values])
-    n, k = len(values), len(nodes)
-    best = -np.inf
-    best_idx = None
-    inner_shape = (n,) * (k - 1)
-    for i0 in range(n):
-        f_arrays = {}
-        for pos, node in enumerate(nodes):
-            if pos == 0:
-                f_arrays[node] = np.full(inner_shape or (1,), vals[i0])
-            else:
-                shape = [1] * max(k - 1, 1)
-                shape[pos - 1] = n
-                f_arrays[node] = vals.reshape(shape)
-        r2 = _two_source_rate2_bound(spec, scheme, f_arrays, pairs, float(r1))
-        r2 = np.where(np.isinf(r2) & (r2 > 0), 1.0, r2)  # R1-only feasibility
-        r2 = np.broadcast_to(r2, inner_shape or (1,))
-        flat = int(np.argmax(r2))
-        if r2.flat[flat] > best:
-            best = float(r2.flat[flat])
-            rest = np.unravel_index(flat, inner_shape) if inner_shape else ()
-            best_idx = (i0,) + tuple(int(x) for x in rest)
-    if best == -np.inf or best_idx is None:
+    if scheme == "pure":
+        return _descend(nodes, _split_rate2(spec, scheme, float(r1)), seed,
+                        restarts=4, widths=(0.025, 0.0025))[0]
+    if scheme in ("slotted", "nc-slotted"):
+        return _grid_max(nodes, grid_step, _split_rate2(spec, scheme, float(r1)))[0]
+    # per link: (node, step, source-1 count, source-2 count)
+    links = [(c.node, c.step, c.sources.count(1), c.sources.count(2))
+             for c in _constraints(spec, scheme)]
+    r1_float = float(r1)
+
+    def evaluate(f):
+        r2 = []
+        for i, step, w1, w2 in links:
+            slack = _link_bound(f, i, step) - w1 * r1_float
+            # a link without source 2 only decides whether R1 fits
+            r2.append(np.where(slack >= -1e-12, slack / w2 if w2 else np.inf, -np.inf))
+        r2 = _min(r2)
+        return np.where(np.isinf(r2) & (r2 > 0), 1.0, r2)
+
+    best, witness = _grid_max(nodes, grid_step, evaluate)
+    if witness is None:
         return -np.inf
     # exact rational recompute at the winning grid point
-    duties = {node: values[best_idx[pos]] for pos, node in enumerate(nodes)}
+    duties = _all_duties(spec, witness)
     r1_exact = r1 if isinstance(r1, Fraction) else Fraction(r1)
-
-    def duty(i):
-        return duties.get(i, Fraction(0))
-
-    r2_exact = None
-    feasible = True
-    for (i, step), (w1, w2) in pairs.items():
-        bound = duty(i) * (1 - duty(i + step)) * (1 - duty(i + 2 * step))
-        slack = bound - w1 * r1_exact
-        if slack < 0:
-            feasible = False
-            break
-        if w2:
-            cand = slack / w2
-            r2_exact = cand if r2_exact is None else min(r2_exact, cand)
-    if not feasible:
+    slacks = [(_link_bound(duties, i, step) - w1 * r1_exact, w2)
+              for i, step, w1, w2 in links]
+    if any(slack < 0 for slack, _ in slacks):
         # float rounding put the winner marginally outside; fall back
         return best
-    if r2_exact is None:
-        r2_exact = Fraction(1)
+    r2_exact = min((slack / w2 for slack, w2 in slacks if w2), default=Fraction(1))
     return r2_exact if isinstance(r1, Fraction) else float(r2_exact)
-
-
-def _slotted_rate2_given_rate1(spec, scheme, r1, grid_step):
-    """Grid over duties; per node the split among traffic classes is
-    optimized in closed form (leftover share after serving R1 goes to
-    source 2's classes)."""
-    rsets = relay_sets(spec)
-    nodes = active_nodes(spec)
-    values = [float(v) for v in _grid_values(grid_step)]
-    best = -np.inf
-
-    def node_r2(i, f):
-        def duty(nn):
-            return f.get(nn, 0.0)
-
-        succ = {
-            +1: duty(i) * (1 - duty(i + 1)) * (1 - duty(i + 2)),
-            -1: duty(i) * (1 - duty(i - 1)) * (1 - duty(i - 2)),
-        }
-        # (class) -> (source-1 load multiplier, source-2 load multiplier,
-        #             success rate for that class)
-        demands = []
-        att = spec.attached_at(i)
-        for j in (1, 2):
-            if j in att and any(d != i for d in spec.source(j).demands):
-                demands.append(("src", j, min(succ[+1], succ[-1])))
-        for j in rsets.fwd[i]:
-            demands.append(("fwd", j, succ[+1]))
-        for j in rsets.bwd[i]:
-            demands.append(("bwd", j, succ[-1]))
-        if scheme == "nc-slotted":
-            fwd = [d for d in demands if d[0] == "fwd"]
-            bwd = [d for d in demands if d[0] == "bwd"]
-            src = [d for d in demands if d[0] == "src"]
-            merged = src[:]
-            if fwd or bwd:
-                # one coded stream serves both relay directions
-                merged.append(("relay",
-                               tuple(d[1] for d in fwd), tuple(d[1] for d in bwd),
-                               succ[+1], succ[-1]))
-            used1 = 0.0
-            cls2 = []
-            for d in merged:
-                if d[0] == "src":
-                    _, j, s = d
-                    if s <= 0:
-                        if j == 1 and r1 > 0:
-                            return -np.inf
-                        if j == 2:
-                            return 0.0
-                        continue
-                    if j == 1:
-                        used1 += r1 / s
-                    else:
-                        cls2.append(1.0 / s)
-                else:
-                    _, fj, bj, sf, sb = d
-                    share1 = 0.0
-                    per2 = 0.0
-                    if 1 in fj and r1 > 0:
-                        if sf <= 0:
-                            return -np.inf
-                        share1 = max(share1, r1 / sf)
-                    if 1 in bj and r1 > 0:
-                        if sb <= 0:
-                            return -np.inf
-                        share1 = max(share1, r1 / sb)
-                    if 2 in fj:
-                        if sf <= 0:
-                            return 0.0
-                        per2 = max(per2, 1.0 / sf)
-                    if 2 in bj:
-                        if sb <= 0:
-                            return 0.0
-                        per2 = max(per2, 1.0 / sb)
-                    # shares must cover both sources' worse direction
-                    used1 += share1
-                    if per2:
-                        cls2.append(per2)
-            leftover = 1.0 - used1
-            if leftover < -1e-12:
-                return -np.inf
-            if not cls2:
-                return np.inf
-            return max(leftover, 0.0) / sum(cls2)
-        # plain slotted: every class has its own share
-        used1 = 0.0
-        cls2 = []
-        for kind, j, s in demands:
-            if s <= 0:
-                if j == 1 and r1 > 0:
-                    return -np.inf
-                if j == 2:
-                    return 0.0
-                continue
-            if j == 1:
-                used1 += r1 / s
-            else:
-                cls2.append(1.0 / s)
-        leftover = 1.0 - used1
-        if leftover < -1e-12:
-            return -np.inf
-        if not cls2:
-            return np.inf
-        return max(leftover, 0.0) / sum(cls2)
-
-    for combo in product(values, repeat=len(nodes)):
-        f = {node: combo[pos] for pos, node in enumerate(nodes)}
-        r2 = min(node_r2(i, f) for i in nodes)
-        best = max(best, r2 if r2 != np.inf else 1.0)
-    return best
-
-
-def _pure_rate2_given_rate1(spec, r1, seed=0, restarts=4, sweeps=25):
-    rsets = relay_sets(spec)
-    nodes = active_nodes(spec)
-    M = spec.M
-
-    def node_r2(i, lam):
-        def g(nn):
-            return lam[nn - 1] if 1 <= nn <= M else 0.0
-
-        succ = {
-            +1: g(i) * math.exp(-2.0 * (g(i + 1) + g(i + 2))),
-            -1: g(i) * math.exp(-2.0 * (g(i - 1) + g(i - 2))),
-        }
-        used1 = 0.0
-        cls2 = []
-        att = spec.attached_at(i)
-        demands = []
-        for j in (1, 2):
-            if j in att and any(d != i for d in spec.source(j).demands):
-                demands.append((j, min(succ[+1], succ[-1])))
-        for j in rsets.fwd[i]:
-            demands.append((j, succ[+1]))
-        for j in rsets.bwd[i]:
-            demands.append((j, succ[-1]))
-        for j, s in demands:
-            if s <= 0:
-                if j == 1 and r1 > 0:
-                    return -np.inf
-                if j == 2:
-                    return 0.0
-                continue
-            if j == 1:
-                used1 += r1 / s
-            else:
-                cls2.append(1.0 / s)
-        leftover = 1.0 - used1
-        if leftover < -1e-12:
-            return -np.inf
-        if not cls2:
-            return np.inf
-        return max(leftover, 0.0) / sum(cls2)
-
-    def objective(lam):
-        r = min(node_r2(i, lam) for i in nodes)
-        return r if r != np.inf else 1.0
-
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    for trial in range(restarts):
-        lam = [0.0] * M
-        for i in nodes:
-            lam[i - 1] = 0.25 if trial == 0 else float(rng.uniform(0, 1))
-        for _ in range(sweeps):
-            improved = False
-            for i in nodes:
-                orig = cand = lam[i - 1]
-                cur = objective(lam)
-                for x in np.linspace(0.0, 1.0, 41):
-                    lam[i - 1] = float(x)
-                    v = objective(lam)
-                    if v > cur + 1e-12:
-                        cur, cand = v, float(x)
-                for width in (0.025, 0.0025):
-                    for x in np.linspace(max(0, cand - width), min(1, cand + width), 21):
-                        lam[i - 1] = float(x)
-                        v = objective(lam)
-                        if v > cur + 1e-13:
-                            cur, cand = v, float(x)
-                if abs(cand - orig) > 1e-9:
-                    improved = True
-                lam[i - 1] = cand
-            if not improved:
-                break
-        best = max(best, objective(lam))
-    return best
 
 
 def region_boundary(
@@ -830,7 +563,8 @@ def region_boundary(
     ])
     exact = scheme in ("capacity", "outer")
     if scheme in ("slotted", "nc-slotted"):
-        # the split-optimized grid is a plain Python loop; keep it coarse
+        # slotted boundaries are traced on a grid no finer than 1/12; the
+        # clamp is kept so that their outputs stay as they were
         grid_step = max(grid_step, Fraction(1, 12))
     zero = Fraction(0) if exact else 0.0
     r1_max = max_rate2_given_rate1(mirrored, scheme, zero, grid_step, seed)
@@ -858,7 +592,6 @@ def membership_lattice(
     Returns a boolean array of shape (denom+1,) * M indexed by the duty
     numerators.  ``kind`` is "capacity" or "outer".
     """
-    cons = capacity_constraints(spec) if kind == "capacity" else outer_constraints(spec)
     M, D = spec.M, denom
     shape = (D + 1,) * M
     axis_vals = np.arange(D + 1, dtype=np.int64)
@@ -871,8 +604,8 @@ def membership_lattice(
         return axis_vals.reshape(sh)
 
     ok = np.ones(shape, dtype=bool)
-    for c in cons:
-        step = 1 if c.direction == "fwd" else -1
+    for c in _constraints(spec, kind):
+        step = c.step
         load = sum(R[j - 1] for j in c.sources)
         bound_num = duty_num(c.node) * (D - duty_num(c.node + step)) * (D - duty_num(c.node + 2 * step))
         # load <= bound_num / D^3  <=>  load.num * D^3 <= load.den * bound_num

@@ -77,6 +77,8 @@ def test_malformed_config_usage_error(tmp_path, capsys):
     ({"field_q": 6}, "6 is not a prime power"),
     ({"field_q": 5}, "frame length 9 exceeds field order 5"),
     ({"rates": ["1/10", "1/10"]}, "not a whole number"),
+    ({"duties": ["4/3", "1/3", "1/3", "1/3"]}, "duty 4/3 lies outside [0, 1]"),
+    ({"duties": ["-1/3", "1/3", "1/3", "1/3"]}, "duty -1/3 lies outside [0, 1]"),
 ])
 def test_malformed_field_and_rates_exit_2(tmp_path, capsys, change, reason):
     cfg = json.loads(Path(EXAMPLE1).read_text())

@@ -142,17 +142,6 @@ class TestSymmetricRate:
         pure = max_symmetric_rate(two_way_spec, "pure")
         assert abs(pure.rate - 0.0678) < 0.002
 
-    def test_custom_predicate(self, two_way_spec):
-        def predicate(f, r):
-            return achievable_point(
-                two_way_spec, f, [F(r).limit_denominator(10**6)] * 2
-            )
-
-        res = max_symmetric_rate(
-            two_way_spec, predicate=predicate, grid_step=F(1, 6)
-        )
-        assert abs(res.rate - 4 / 27) < 1e-6
-
     def test_unknown_scheme(self, two_way_spec):
         with pytest.raises(ValueError):
             max_symmetric_rate(two_way_spec, "fdma")
@@ -172,6 +161,14 @@ class TestBoundary:
 
     def test_max_rate2_infeasible_r1(self, two_way_spec):
         assert max_rate2_given_rate1(two_way_spec, "capacity", 0.9) == -np.inf
+
+    @pytest.mark.parametrize("scheme", ["slotted", "nc-slotted"])
+    def test_max_rate2_infeasible_r1_slotted(self, two_way_spec, five_node_spec, scheme):
+        # some grid points give source 2 a zero-success class at a node
+        # that R1 alone already overloads
+        for spec, r1 in ((five_node_spec, 0.9), (two_way_spec, 0.5)):
+            r2 = max_rate2_given_rate1(spec, scheme, r1, grid_step=F(1, 12))
+            assert r2 == -np.inf
 
     def test_requires_two_sources(self):
         spec = NetworkSpec(2, [Source(1, 1, frozenset({2}))])
