@@ -37,7 +37,11 @@ from .rates import (
     outer_point,
     region_boundary,
 )
-from .sequences import expand_set, is_consecutively_3wise_shift_invariant
+from .sequences import (
+    expand_set,
+    is_consecutively_3wise_shift_invariant,
+    require_table_bytes,
+)
 
 
 def _fmt(x) -> str:
@@ -48,12 +52,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _load(args):
+@contextmanager
+def _usage_error(*errors):
+    """Exit 2 with a one-line message when a malformed input raises one
+    of ``errors``."""
     try:
-        return load_config(args.config)
-    except NetworkError as exc:
+        yield
+    except errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _load(args):
+    with _usage_error(NetworkError):
+        return load_config(args.config)
 
 
 @contextmanager
@@ -76,14 +88,11 @@ def cmd_construct(args):
 def cmd_verify_si(args):
     cfg = _load(args)
     sset = cfg.sequence_set()
-    rng = np.random.default_rng(args.seed)
-    report = is_consecutively_3wise_shift_invariant(
-        sset, samples=args.samples, rng=rng
-    )
+    with _usage_error(ValueError):
+        report = is_consecutively_3wise_shift_invariant(sset)
     with _out(args) as fh:
         fh.write(f"# seed={args.seed}\n")
-        mode = "exhaustive" if report.exhaustive else f"sampled({args.samples})"
-        fh.write(f"shift_invariant={'yes' if report.invariant else 'no'} mode={mode}\n")
+        fh.write(f"shift_invariant={'yes' if report.invariant else 'no'} mode=exhaustive\n")
         if report.witness is not None:
             fh.write(f"witness={report.witness}\n")
     return 0 if report.invariant else 1
@@ -119,6 +128,9 @@ def cmd_identify_sweep(args):
     cfg = _load(args)
     sset = cfg.sequence_set()
     P = sset.period
+    # refuse before the sweep's sessions run, not at its first identification
+    with _usage_error(ValueError):
+        require_table_bytes(P, "sender identification")
     node = args.node
     q = field(cfg.field_order())
     failures = 0
@@ -221,16 +233,20 @@ def cmd_symmetric_rates(args):
 def cmd_boundary(args):
     cfg = _load(args)
     grid_step = Fraction(1, args.grid_steps)
+    with _usage_error(ValueError):
+        curves = [
+            (scheme, region_boundary(
+                cfg.spec, scheme, resolution=args.resolution,
+                grid_step=grid_step, seed=args.seed,
+            ))
+            for scheme in (s.strip() for s in args.schemes.split(","))
+        ]
     with _out(args) as fh:
         w = csv.writer(fh)
         w.writerow(["R1", "R2", "scheme"])
-        for scheme in args.schemes.split(","):
-            pts = region_boundary(
-                cfg.spec, scheme.strip(), resolution=args.resolution,
-                grid_step=grid_step, seed=args.seed,
-            )
+        for scheme, pts in curves:
             for r1, r2 in pts:
-                w.writerow([f"{r1:.6g}", f"{r2:.6g}", scheme.strip()])
+                w.writerow([f"{r1:.6g}", f"{r2:.6g}", scheme])
     return 0
 
 
@@ -272,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-si", help="check consecutive 3-wise shift-invariance")
     common(sp)
-    sp.add_argument("--samples", type=int, default=10000,
-                    help="offset samples when exhaustive checking is too large")
     sp.set_defaults(func=cmd_verify_si)
 
     sp = sub.add_parser("simulate", help="run an end-to-end coded session")

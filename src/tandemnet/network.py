@@ -42,8 +42,9 @@ from .sequences import (
     DutyFactor,
     ProtocolSequence,
     SequenceSet,
-    _roll_matrix,
     construct_sequences,
+    require_table_bytes,
+    roll_matrix,
 )
 
 # Channel activity symbols.
@@ -230,11 +231,14 @@ def identify_senders(
     the sequence family is consecutively 3-wise shift-invariant.  Returns
     {slot index within the signal: -1 (left neighbor) or +1 (right)}.
 
-    ``start`` is the global slot of the signal's first symbol.
+    ``start`` is the global slot of the signal's first symbol.  Raises
+    ValueError when the P x P tables would exceed
+    ``sequences.TABLE_BYTES_LIMIT``.
     """
     P = len(signal)
     if own_seq.period != P:
         raise ValueError("signal length must equal the sequence period")
+    require_table_bytes(P, "sender identification")
     own = np.array(
         [own_seq.bits[(start + k - own_tau) % P] for k in range(P)], dtype=np.int64
     )
@@ -243,30 +247,37 @@ def identify_senders(
         raise InconsistentObservationError(
             "signal's transmit slots disagree with the node's own schedule"
         )
-    listening = own == 0
-    observed = np.zeros(P, dtype=np.int64)
-    observed[sym == SINGLE] = 1
-    observed[sym == COLLISION] = 2
+    listening = np.flatnonzero(own == 0)
+    observed = np.zeros(len(listening))
+    observed[sym[listening] == SINGLE] = 1
+    observed[sym[listening] == COLLISION] = 2
 
-    # rows are hypothesized activity patterns, aligned to the signal window;
+    # rows are hypothesized activity patterns over the listening slots of
+    # the signal window: row tau holds s[(k - start - tau) mod P] at slot k;
     # an absent neighbor is one all-silent row
-    silent = np.zeros((1, P), dtype=np.int64)
     left_tab, right_tab = (
-        np.roll(silent if seq is None else _roll_matrix(seq), start, axis=1)
+        np.zeros((1, len(listening))) if seq is None
+        else roll_matrix(seq, (listening - start) % P)
         for seq in (left_seq, right_seq)
     )
-    counts = left_tab[:, None, :] + right_tab[None, :, :]  # (TL, TR, P)
-    ok = np.all(counts[:, :, listening] == observed[listening], axis=2)
-    hits = np.argwhere(ok)
-    if len(hits) == 0:
+    # mismatch[tl, tr] = sum over listening slots of (left + right - observed)^2,
+    # expanded with left^2 = left and right^2 = right for 0/1 rows
+    weight = 1 - 2 * observed
+    mismatch = (
+        (left_tab @ weight)[:, None] + (right_tab @ weight)[None, :]
+        + observed @ observed + 2 * (left_tab @ right_tab.T)
+    )
+    first = int(np.argmin(mismatch))  # lexicographically first best hypothesis
+    if mismatch.flat[first] != 0:
         raise InconsistentObservationError(
             "no offset hypothesis reproduces the observed activity"
         )
-    tl, tr = hits[0]  # lexicographically first consistent hypothesis
-    labels: Dict[int, int] = {}
-    for k in np.nonzero(listening & (observed == 1))[0]:
-        labels[int(k)] = -1 if left_tab[tl, k] == 1 else +1
-    return labels
+    tl = first // mismatch.shape[1]
+    return {
+        int(k): -1 if left == 1 else +1
+        for k, left, obs in zip(listening, left_tab[tl], observed)
+        if obs == 1
+    }
 
 
 # -- end-to-end session simulator ---------------------------------------

@@ -416,6 +416,11 @@ def _exact_symmetric_rate(spec, scheme, duties: Dict[int, Fraction]) -> Fraction
     return min(rates, default=Fraction(0))
 
 
+def _require_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
 def max_symmetric_rate(
     spec: NetworkSpec,
     scheme: str = "capacity",
@@ -430,8 +435,7 @@ def max_symmetric_rate(
     winner is recomputed in exact rationals.  Pure ALOHA is maximized by
     seeded coordinate descent over intensities in [0, 1].
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    _require_scheme(scheme)
     nodes = active_nodes(spec)
     objective = _symmetric_objective(spec, scheme)
     if scheme == "pure":
@@ -505,8 +509,10 @@ def max_rate2_given_rate1(
 
     Pure ALOHA is searched by coordinate descent (4 seeded restarts), the
     other schemes over the duty grid; capacity and outer recompute the
-    winner exactly and return a Fraction when ``r1`` is one.
+    winner exactly and return a Fraction when ``r1`` is one.  Raises
+    ValueError for a scheme not in SCHEMES.
     """
+    _require_scheme(scheme)
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
     nodes = active_nodes(spec)

@@ -181,92 +181,90 @@ def generalized_hamming(
     return int(acc.sum())
 
 
-def _roll_matrix(seq: ProtocolSequence) -> np.ndarray:
-    """P x P matrix whose row tau is the sequence delayed by tau."""
-    arr = np.asarray(seq.bits, dtype=np.int64)
+# Largest working set, in bytes, that the shift-invariance certificate
+# and sender identification may allocate for their P x P tables; 1 GiB
+# admits d <= 18 (P = 5,832), and d = 10 needs 25 MB.
+TABLE_BYTES_LIMIT = 1 << 30
+
+
+def require_table_bytes(P: int, what: str) -> None:
+    """Raise ValueError, naming the predicted size, when ``what`` at
+    period P would need more than TABLE_BYTES_LIMIT: its peak is three
+    float64 tables of at most P x P entries and one P x P mask."""
+    need = 25 * P * P
+    if need > TABLE_BYTES_LIMIT:
+        raise ValueError(
+            f"{what} at period {P} needs about {need / 2**30:.3g} GiB of "
+            f"P x P tables, above the limit of {TABLE_BYTES_LIMIT / 2**30:g} GiB"
+        )
+
+
+def roll_matrix(seq: ProtocolSequence, columns=None) -> np.ndarray:
+    """Float64 matrix whose row tau is the sequence delayed by tau, that is
+    entry [tau, k] = s[(k - tau) mod P], restricted to the slot indices in
+    ``columns`` (all P by default).  Float64 so that products of these
+    tables run in BLAS; their integer sums stay exact below 2**53."""
     P = seq.period
-    idx = (np.arange(P)[None, :] - np.arange(P)[:, None]) % P
-    return arr[idx]
+    bits = np.asarray(seq.bits, dtype=np.float64)
+    # row j of the windows over two periods is s[(j + k) mod P]
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(bits, 2), P)
+    cols = np.arange(P) if columns is None else columns
+    return windows[np.ix_(-np.arange(P) % P, cols)]
 
 
 @dataclass
 class ShiftInvarianceReport:
     invariant: bool
-    exhaustive: bool
+    exhaustive: bool  # always True: every offset tuple is covered
     witness: Optional[tuple] = None  # (subset, offsets_a, value_a, offsets_b, value_b)
-    note: str = ""
 
     def __bool__(self):
         return self.invariant
 
 
 def _consecutive_subsets(M: int):
-    for size in (1, 2, 3):
+    # a single sequence's correlation is its weight at every offset
+    for size in (2, 3):
         for start in range(1, M - size + 2):
             yield tuple(range(start, start + size))
 
 
-def is_consecutively_3wise_shift_invariant(
-    sset: SequenceSet,
-    budget: int = 10**9,
-    samples: int = 10**4,
-    rng: Optional[np.random.Generator] = None,
-) -> ShiftInvarianceReport:
-    """Certify that every generalized Hamming cross-correlation over up to
-    three consecutive indices is offset-independent.
+def is_consecutively_3wise_shift_invariant(sset: SequenceSet) -> ShiftInvarianceReport:
+    """Certify, over every offset tuple, that every generalized Hamming
+    cross-correlation over up to three consecutive indices is
+    offset-independent.
 
-    Exhausts every offset tuple while the estimated work P^3 * (M - 2)
-    stays within ``budget``; beyond that it falls back to randomized
-    offset sampling and says so in the report.  The exhaustive sweep is
-    O(P^3) per triple, intended for small d.
+    A correlation depends only on the offsets relative to the first
+    sequence's.  For a triple (a, b, c) the certificate is therefore the
+    P x P table T[u, v] = sum_k a[k] b[k-u] c[k-v], one matrix product
+    over the slots where a is 1, and for a pair (a, b) the vector
+    t[u] = sum_k a[k] b[k-u]; a single sequence always passes.  The cost
+    is O(P^2) memory and O(P^3) flops per triple.  The witness holds the
+    lexicographically first offset tuple whose value differs from the
+    all-zero tuple's; its first offset is always 0.
+
+    Raises ValueError when the tables would exceed TABLE_BYTES_LIMIT.
     """
     M = len(sset)
-    P = sset.period
-    cost = P**3 * max(M - 2, 1)
-    exhaustive = cost <= budget
-    mats = {i: _roll_matrix(sset[i]) for i in range(1, M + 1)}
-
-    if exhaustive:
-        for subset in _consecutive_subsets(M):
-            ms = [mats[i] for i in subset]
-            if len(ms) == 1:
-                table = ms[0].sum(axis=1)
-            elif len(ms) == 2:
-                table = np.einsum("ak,bk->ab", ms[0], ms[1])
-            else:
-                table = np.einsum("ak,bk,ck->abc", ms[0], ms[1], ms[2])
-            ref = table.flat[0]
-            if not np.all(table == ref):
-                bad = np.unravel_index(int(np.argmax(table != ref)), table.shape)
-                zero = (0,) * len(subset)
-                return ShiftInvarianceReport(
-                    invariant=False,
-                    exhaustive=True,
-                    witness=(subset, zero, int(ref), tuple(int(t) for t in bad),
-                             int(table[bad])),
-                )
-        return ShiftInvarianceReport(invariant=True, exhaustive=True)
-
-    rng = rng if rng is not None else np.random.default_rng(0)
+    require_table_bytes(sset.period, "the shift-invariance certificate")
     for subset in _consecutive_subsets(M):
-        zero = (0,) * len(subset)
-        ref = generalized_hamming(sset, subset, zero)
-        taus = rng.integers(0, P, size=(samples, len(subset)))
-        for row in taus:
-            val = generalized_hamming(sset, subset, tuple(int(t) for t in row))
-            if val != ref:
-                return ShiftInvarianceReport(
-                    invariant=False,
-                    exhaustive=False,
-                    witness=(subset, zero, ref, tuple(int(t) for t in row), val),
-                    note=f"randomized check, {samples} samples per subset",
-                )
-    return ShiftInvarianceReport(
-        invariant=True,
-        exhaustive=False,
-        note=(f"randomized check only ({samples} samples per subset); "
-              f"exhaustive sweep would need ~{cost:.2g} term evaluations"),
-    )
+        ones = np.flatnonzero(sset[subset[0]].bits)
+        rolled = [roll_matrix(sset[i], ones) for i in subset[1:]]
+        if len(rolled) == 1:
+            table = rolled[0].sum(axis=1)
+        else:
+            table = rolled[0] @ rolled[1].T
+        ref = table.flat[0]
+        bad = table != ref
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), table.shape)
+            return ShiftInvarianceReport(
+                invariant=False,
+                exhaustive=True,
+                witness=(subset, (0,) * len(subset), int(ref),
+                         (0,) + tuple(int(t) for t in at), int(table[at])),
+            )
+    return ShiftInvarianceReport(invariant=True, exhaustive=True)
 
 
 def _throughput(sset: SequenceSet, i: int, offsets, step: int) -> Fraction:

@@ -36,7 +36,7 @@ from tandemnet import (
 from tandemnet.coding import nested_decode, nested_encode
 from tandemnet.gf import field
 from tandemnet.network import ChannelActivitySignal, COLLISION, IDLE, SINGLE, TRANSMIT
-from tandemnet.sequences import _roll_matrix
+from tandemnet.sequences import roll_matrix
 
 F = Fraction
 
@@ -114,7 +114,7 @@ def _throughput_identity_holds(sset, M):
             mats = []
             for hop in (0, 1, 2):
                 j = i + step * hop
-                m = _roll_matrix(sset[j]) if 1 <= j <= M else np.zeros((1, P), np.int64)
+                m = roll_matrix(sset[j]) if 1 <= j <= M else np.zeros((1, P), np.int64)
                 mats.append(m if hop == 0 else (1 - m))
             tensor = np.einsum("ak,bk,ck->abc", *mats)
             expected = duty(i) * (1 - duty(i + step)) * (1 - duty(i + 2 * step)) * P

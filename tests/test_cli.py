@@ -92,6 +92,38 @@ def test_malformed_field_and_rates_exit_2(tmp_path, capsys, change, reason):
     assert err.startswith("error: ") and reason in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-si"],
+    ["identify-sweep", "--node", "2"],
+])
+def test_oversized_tables_exit_2(tmp_path, capsys, command):
+    cfg = {
+        "M": 3,
+        "sources": [{"id": 1, "attach": 1, "demands": [3]}],
+        "duties": ["1/40"] * 3,  # period 64,000
+    }
+    path = tmp_path / "d40.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "95.4 GiB" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_boundary_unknown_scheme_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "--config", EXAMPLE1, "--schemes", "capacity,foo",
+              "--resolution", "2", "--grid-steps", "12"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown scheme 'foo'")
+    assert captured.err.count("\n") == 1
+
+
 def test_regions(small_config, capsys):
     assert main(["regions", "--config", small_config]) == 0
     got = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,19 @@ class TestIdentify:
         bogus = ChannelActivitySignal((SINGLE,) * 27)
         with pytest.raises(InconsistentObservationError):
             identify_senders(bogus, mixed_set[2], 0, mixed_set[1], mixed_set[3])
+
+    def test_refuses_oversized_tables_without_allocating(self):
+        from tandemnet.network import ChannelActivitySignal
+        sset = construct_sequences([DutyFactor(1, 40)] * 3)  # P = 64,000
+        signal = ChannelActivitySignal((IDLE,) * sset.period)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"period 64000 needs about 95\.4 GiB"):
+                identify_senders(signal, sset[2], 0, sset[1], sset[3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDiscovery:

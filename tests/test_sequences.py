@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,33 @@ class TestShiftInvariance:
         same = generalized_hamming(sset, (1, 2), (0, 0))
         shifted = generalized_hamming(sset, (1, 2), (0, 1))
         assert same == 2 and shifted == 1
+
+    @pytest.mark.parametrize("M", [3, 6])
+    def test_d10_exhaustive(self, M):
+        rng = np.random.default_rng(M)
+        sset = construct_sequences(
+            [DutyFactor(int(n), 10) for n in rng.integers(1, 10, size=M)])
+        report = is_consecutively_3wise_shift_invariant(sset)
+        assert report.invariant and report.exhaustive
+        # a copy of sequence 1 in place of 3 breaks the triple (1, 2, 3)
+        broken = SequenceSet(sset.sequences[:2] + sset.sequences[:1], 10)
+        report = is_consecutively_3wise_shift_invariant(broken)
+        assert not report.invariant and report.exhaustive
+        subset, zero, ref, taus, val = report.witness
+        assert subset == (1, 2, 3) and taus[0] == 0
+        assert generalized_hamming(broken, subset, zero) == ref
+        assert generalized_hamming(broken, subset, taus) == val != ref
+
+    def test_refuses_oversized_tables_without_allocating(self):
+        sset = construct_sequences([DutyFactor(1, 40)] * 3)  # P = 64,000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"period 64000 needs about 95\.4 GiB"):
+                is_consecutively_3wise_shift_invariant(sset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestThroughput:
