@@ -128,40 +128,20 @@ def cmd_identify_sweep(args):
     cfg = _load(args)
     sset = cfg.sequence_set()
     P = sset.period
-    # refuse before the sweep's sessions run, not at its first identification
-    with _usage_error(ValueError):
-        require_table_bytes(P, "sender identification")
     node = args.node
-    q = field(cfg.field_order())
-    failures = 0
-    total = 0
-    rng = np.random.default_rng(args.seed)
-    pairs = _offset_pairs(P, args.samples, rng)
+    with _usage_error(ValueError):
+        # refuse before the sweep's pairs are built, not at its first identification
+        require_table_bytes(25 * P * P, f"sender identification at period {P}")
+        activity_signal(sset, cfg.offsets, node)  # a node outside 1..M raises
+    pairs = _offset_pairs(P, args.samples, np.random.default_rng(args.seed))
+    failures = [(tl, tr, bad) for tl, tr in pairs
+                if (bad := _sweep_errors(sset, cfg.offsets, node, tl, tr))]
     with _out(args) as fh:
         fh.write(f"# seed={args.seed} node={node} pairs={len(pairs)}\n")
-        for tl, tr in pairs:
-            offsets = list(cfg.offsets)
-            if node - 2 >= 1:
-                offsets[node - 2] = tl
-            if node <= len(offsets) - 1:
-                offsets[node] = tr
-            result = simulate(cfg.spec, sset, offsets, cfg.rates, q,
-                              periods=3, seed=args.seed)
-            start = result.trace.offsets[node - 1]
-            signal = activity_signal(result.trace, node, start=start)
-            labels = identify_senders(
-                signal, sset[node], result.trace.offsets[node - 1],
-                sset[node - 1] if node - 1 >= 1 and sset.in_range(node - 1) else None,
-                sset[node + 1] if sset.in_range(node + 1) else None,
-                start=start,
-            )
-            bad = _label_errors(labels, sset, offsets, node, start)
-            total += 1
-            if bad:
-                failures += 1
-                fh.write(f"tl={tl} tr={tr} wrong={bad}\n")
-        fh.write(f"checked={total} failures={failures}\n")
-    return 0 if failures == 0 else 1
+        for tl, tr, bad in failures:
+            fh.write(f"tl={tl} tr={tr} wrong={bad}\n")
+        fh.write(f"checked={len(pairs)} failures={len(failures)}\n")
+    return 0 if not failures else 1
 
 
 def _offset_pairs(P, samples, rng):
@@ -173,26 +153,35 @@ def _offset_pairs(P, samples, rng):
     return [(a, b) for a in range(P) for b in range(P)]
 
 
-def _label_errors(labels, sset, offsets, node, start):
-    """Slots whose recovered label disagrees with the true transmitter."""
+def _sweep_errors(sset, offsets, node, tl, tr):
+    """Slots, in one period from the node's own offset, whose recovered
+    sender is wrong when the left and right neighbors sit at tl and tr."""
     P = sset.period
-    bad = []
-    for k, side in labels.items():
-        nb = node + side
-        g = start + k
-        if not sset.in_range(nb) or sset[nb].bits[(g - offsets[nb - 1]) % P] != 1:
-            bad.append(int(k))
-    return bad
+    offsets = list(offsets)
+    for nb, tau in ((node - 1, tl), (node + 1, tr)):
+        if sset.in_range(nb):
+            offsets[nb - 1] = tau
+    start = offsets[node - 1] % P
+    labels = identify_senders(
+        activity_signal(sset, offsets, node, start=start), sset[node], start,
+        sset[node - 1] if sset.in_range(node - 1) else None,
+        sset[node + 1] if sset.in_range(node + 1) else None,
+        start=start,
+    )
+    # a label only ever names a neighbor on the line
+    return [int(k) for k, side in labels.items()
+            if sset[node + side].bits[(start + k - offsets[node + side - 1]) % P] != 1]
 
 
 def cmd_discover_offset(args):
     cfg = _load(args)
     sset = cfg.sequence_set()
     try:
-        tau = discover_offset(
-            sset, cfg.offsets, args.transmitter, args.receiver,
-            extra_periods=args.extra_periods,
-        )
+        with _usage_error(ValueError):
+            tau = discover_offset(
+                sset, cfg.offsets, args.transmitter, args.receiver,
+                extra_periods=args.extra_periods,
+            )
     except DiscoveryFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -255,7 +244,8 @@ def cmd_expansion_check(args):
     slot-synchronous throughput of the original set."""
     cfg = _load(args)
     sset = cfg.sequence_set()
-    expanded = expand_set(sset, args.m or cfg.m)
+    with _usage_error(ValueError):
+        expanded = expand_set(sset, args.m or cfg.m)
     g = args.g or cfg.g
     rng = np.random.default_rng(args.seed)
     L = g * expanded.period

@@ -9,6 +9,8 @@ that channel this module provides:
   per-node relay sets),
 * an end-to-end session simulator that drives the nested coder at every
   node and returns the per-destination decoded symbols,
+* the channel activity a node observes over one period, read straight
+  from its own and its neighbors' sequences and offsets,
 * the sliding-window sender-identification algorithm that labels every
   successfully received packet as coming from the left or right neighbor
   using only the observed channel activity,
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,7 +40,7 @@ from .coding import (
     nested_decode,
     nested_encode,
 )
-from .gf import Field, field as make_field
+from .gf import Field, _factor_prime_power, field as make_field
 from .sequences import (
     DutyFactor,
     ProtocolSequence,
@@ -45,6 +48,7 @@ from .sequences import (
     construct_sequences,
     require_table_bytes,
     roll_matrix,
+    rolled,
 )
 
 # Channel activity symbols.
@@ -196,21 +200,24 @@ class ChannelActivitySignal:
         return len(self.symbols)
 
 
-def activity_signal(trace: SimTrace, node: int, start: int = 0) -> ChannelActivitySignal:
-    """The node's per-slot observation over one period starting at the
-    given global slot."""
-    P = trace.period
-    by_slot = {}
-    for slot, n, action, value in trace.rows:
-        if n == node and start <= slot < start + P:
-            prev = by_slot.get(slot)
-            if action == "tx":
-                by_slot[slot] = TRANSMIT
-            elif prev != TRANSMIT:
-                by_slot[slot] = {"rx": SINGLE, "collision": COLLISION, "idle": IDLE}[action]
-    if len(by_slot) != P:
-        raise ValueError("trace does not cover a full period at this node")
-    return ChannelActivitySignal(tuple(by_slot[k] for k in range(start, start + P)))
+def activity_signal(
+    sset: SequenceSet, offsets: Sequence[int], node: int, start: int = 0
+) -> ChannelActivitySignal:
+    """The node's per-slot observation over one period from global slot
+    ``start``, with node i's local slot k at global slot k + offsets[i-1].
+    Every schedule is periodic, so the node sends where its own delayed
+    row is 1 and otherwise hears the sum of its neighbors' rows; a
+    neighbor beyond the line's ends is silent.  Raises ValueError for a
+    node outside 1..M."""
+    if not sset.in_range(node):
+        raise ValueError(f"node {node} lies outside 1..{len(sset)}")
+    own, left, right = (
+        rolled(sset[i], offsets[i - 1] - start if sset.in_range(i) else 0)
+        for i in (node, node - 1, node + 1)
+    )
+    heard = (IDLE, SINGLE, COLLISION)
+    return ChannelActivitySignal(tuple(
+        TRANSMIT if tx else heard[n] for tx, n in zip(own, left + right)))
 
 
 # -- sender identification ----------------------------------------------
@@ -238,7 +245,7 @@ def identify_senders(
     P = len(signal)
     if own_seq.period != P:
         raise ValueError("signal length must equal the sequence period")
-    require_table_bytes(P, "sender identification")
+    require_table_bytes(25 * P * P, f"sender identification at period {P}")
     own = np.array(
         [own_seq.bits[(start + k - own_tau) % P] for k in range(P)], dtype=np.int64
     )
@@ -602,8 +609,10 @@ def discover_offset(
     """
     M = len(sset)
     P = sset.period
-    if abs(transmitter - receiver) != 1:
-        raise ValueError("transmitter and receiver must be adjacent")
+    if abs(transmitter - receiver) != 1 or not 1 <= min(transmitter, receiver) < M:
+        raise ValueError(
+            f"transmitter {transmitter} and receiver {receiver} must be adjacent in 1..{M}"
+        )
     taus = [t % P for t in offsets]
     seqs = {i: sset[i] for i in range(1, M + 1)}
     ones_before = {
@@ -767,24 +776,11 @@ class ExperimentConfig:
         if self.field_q is not None:
             return self.field_q
         q = max(self.frame_length, 2)
-        while not _is_prime(q):
+        while True:
+            with suppress(ValueError):  # q is not a prime power
+                if _factor_prime_power(q)[1] == 1:
+                    return q
             q += 1
-        return q
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -796,7 +792,7 @@ def load_config(path) -> ExperimentConfig:
 def parse_config(data: dict) -> ExperimentConfig:
     try:
         spec = NetworkSpec.from_dict(data)
-        duties_raw = [_parse_fraction(tok) for tok in data["duties"]]
+        duties_raw = [Fraction(tok) for tok in data["duties"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise NetworkError(f"bad config: {exc}\n\n{CONFIG_SCHEMA}") from exc
     if len(duties_raw) != spec.M:
@@ -808,13 +804,18 @@ def parse_config(data: dict) -> ExperimentConfig:
     for f in duties_raw:
         denom = denom * f.denominator // np.gcd(denom, f.denominator)
     duties = [DutyFactor(int(f * denom), int(denom)) for f in duties_raw]
-    rates = [_parse_fraction(tok) for tok in data.get("rates", [])]
+    rates = [Fraction(tok) for tok in data.get("rates", [])]
     if rates and len(rates) != spec.N:
         raise NetworkError(f"need {spec.N} rates, got {len(rates)}")
     offsets = list(data.get("offsets", [0] * spec.M))
     if len(offsets) != spec.M:
         raise NetworkError(f"need {spec.M} offsets, got {len(offsets)}")
     period = int(denom) ** 3
+    try:
+        # each sequence holds its period as a tuple, 8 bytes per slot
+        require_table_bytes(8 * spec.M * period, f"a sequence set of period {period}")
+    except ValueError as exc:
+        raise NetworkError(str(exc)) from exc
     for j, rate in enumerate(rates, start=1):
         if (rate * period).denominator != 1:
             raise NetworkError(

@@ -259,6 +259,14 @@ def active_nodes(spec: NetworkSpec) -> List[int]:
     return [i for i in range(1, spec.M + 1) if any(weights[i - 1])]
 
 
+def _free_nodes(spec: NetworkSpec, scheme: str) -> List[int]:
+    """Nodes the optimizers vary, the rest staying silent: for capacity
+    and outer the constraints' transmitters, else the active nodes."""
+    if scheme in ("capacity", "outer"):
+        return sorted({c.node for c in _constraints(spec, scheme)})
+    return active_nodes(spec)
+
+
 def _node_symmetric_rate(scheme, w, succ_f, succ_b):
     """Largest common rate one node supports, with its transmissions (or
     success rate) split optimally among its traffic classes.
@@ -287,12 +295,11 @@ def _node_symmetric_rate(scheme, w, succ_f, succ_b):
 
 def _symmetric_objective(spec: NetworkSpec, scheme: str) -> Callable:
     """The common rate as a function of node -> duty (or intensity),
-    minimized over the active nodes' links; arrays broadcast."""
-    nodes = active_nodes(spec)
+    minimized over the scheme's links; arrays broadcast."""
     if scheme in ("capacity", "outer"):
-        links = [(c.node, c.step, len(c.sources))
-                 for c in _constraints(spec, scheme) if c.node in nodes]
+        links = [(c.node, c.step, len(c.sources)) for c in _constraints(spec, scheme)]
         return lambda f: _min(_link_bound(f, i, step) / n for i, step, n in links)
+    nodes = active_nodes(spec)
     weights = _traffic_weights(spec)
 
     def rate(f):
@@ -431,12 +438,12 @@ def max_symmetric_rate(
     """Maximal common rate over the scheme's free parameters.
 
     The duty-parameterized schemes are maximized over a duty-factor grid
-    (only traffic-carrying nodes vary; the rest stay silent) and the
-    winner is recomputed in exact rationals.  Pure ALOHA is maximized by
-    seeded coordinate descent over intensities in [0, 1].
+    (only the nodes of ``_free_nodes`` vary; the rest stay silent) and
+    the winner is recomputed in exact rationals.  Pure ALOHA is maximized
+    by seeded coordinate descent over intensities in [0, 1].
     """
     _require_scheme(scheme)
-    nodes = active_nodes(spec)
+    nodes = _free_nodes(spec, scheme)
     objective = _symmetric_objective(spec, scheme)
     if scheme == "pure":
         rate, lam = _descend(nodes, objective, seed, restarts, (0.025, 0.0025, 0.00025))
@@ -515,7 +522,7 @@ def max_rate2_given_rate1(
     _require_scheme(scheme)
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
-    nodes = active_nodes(spec)
+    nodes = _free_nodes(spec, scheme)
     if scheme == "pure":
         return _descend(nodes, _split_rate2(spec, scheme, float(r1)), seed,
                         restarts=4, widths=(0.025, 0.0025))[0]

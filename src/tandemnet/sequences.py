@@ -157,12 +157,6 @@ def construct_sequences(duties: Sequence[DutyFactor]) -> SequenceSet:
     return SequenceSet(out, denominator=d)
 
 
-def _rolled(seq: ProtocolSequence, tau: int) -> np.ndarray:
-    """Array a with a[k] = s[(k - tau) mod P]."""
-    arr = np.asarray(seq.bits, dtype=np.int64)
-    return np.roll(arr, tau % seq.period)
-
-
 def generalized_hamming(
     sset: SequenceSet, subset: Sequence[int], offsets: Sequence[int]
 ) -> int:
@@ -177,26 +171,31 @@ def generalized_hamming(
             raise ValueError(f"sequence index {i} out of range")
     acc = np.ones(sset.period, dtype=np.int64)
     for i, tau in zip(subset, offsets):
-        acc *= _rolled(sset[i], tau)
+        acc *= rolled(sset[i], tau)
     return int(acc.sum())
 
 
-# Largest working set, in bytes, that the shift-invariance certificate
-# and sender identification may allocate for their P x P tables; 1 GiB
-# admits d <= 18 (P = 5,832), and d = 10 needs 25 MB.
+# Largest working set, in bytes, of a configured sequence set or of the
+# P x P tables of the shift-invariance certificate and sender
+# identification; 1 GiB admits the tables up to d = 18 (P = 5,832).
 TABLE_BYTES_LIMIT = 1 << 30
 
 
-def require_table_bytes(P: int, what: str) -> None:
-    """Raise ValueError, naming the predicted size, when ``what`` at
-    period P would need more than TABLE_BYTES_LIMIT: its peak is three
-    float64 tables of at most P x P entries and one P x P mask."""
-    need = 25 * P * P
+def require_table_bytes(need: int, what: str) -> None:
+    """Raise ValueError, naming the predicted size, when ``what`` would
+    need more than TABLE_BYTES_LIMIT bytes.  The P x P steps peak at
+    three float64 tables and one bool mask, 25 P^2 bytes."""
     if need > TABLE_BYTES_LIMIT:
         raise ValueError(
-            f"{what} at period {P} needs about {need / 2**30:.3g} GiB of "
-            f"P x P tables, above the limit of {TABLE_BYTES_LIMIT / 2**30:g} GiB"
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"above the limit of {TABLE_BYTES_LIMIT / 2**30:g} GiB"
         )
+
+
+def rolled(seq: ProtocolSequence, tau: int) -> np.ndarray:
+    """Int64 array a with a[k] = s[(k - tau) mod P], row tau of roll_matrix."""
+    arr = np.asarray(seq.bits, dtype=np.int64)
+    return np.roll(arr, tau % seq.period)
 
 
 def roll_matrix(seq: ProtocolSequence, columns=None) -> np.ndarray:
@@ -246,7 +245,8 @@ def is_consecutively_3wise_shift_invariant(sset: SequenceSet) -> ShiftInvariance
     Raises ValueError when the tables would exceed TABLE_BYTES_LIMIT.
     """
     M = len(sset)
-    require_table_bytes(sset.period, "the shift-invariance certificate")
+    P = sset.period
+    require_table_bytes(25 * P * P, f"the shift-invariance certificate at period {P}")
     for subset in _consecutive_subsets(M):
         ones = np.flatnonzero(sset[subset[0]].bits)
         rolled = [roll_matrix(sset[i], ones) for i in subset[1:]]
@@ -280,9 +280,9 @@ def _throughput(sset: SequenceSet, i: int, offsets, step: int) -> Fraction:
             "need offsets for nodes (i, i+step, i+2*step), or one per node"
         )
     P = sset.period
-    acc = _rolled(sset[i], offsets[0]).copy()
+    acc = rolled(sset[i], offsets[0]).copy()
     for hop, tau in zip((1, 2), offsets[1:]):
-        acc *= 1 - _rolled(sset[i + step * hop], tau)
+        acc *= 1 - rolled(sset[i + step * hop], tau)
     return Fraction(int(acc.sum()), P)
 
 

@@ -113,6 +113,42 @@ def test_oversized_tables_exit_2(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, reason", [
+    (["identify-sweep", "--node", "9"], "node 9 lies outside 1..4"),
+    (["identify-sweep", "--node", "0", "--samples", "2"], "node 0 lies outside 1..4"),
+    (["discover-offset", "--transmitter", "9", "--receiver", "10"],
+     "transmitter 9 and receiver 10 must be adjacent in 1..4"),
+    (["discover-offset", "--transmitter", "4", "--receiver", "5"],
+     "transmitter 4 and receiver 5 must be adjacent in 1..4"),
+    (["discover-offset", "--transmitter", "1", "--receiver", "3"],
+     "transmitter 1 and receiver 3 must be adjacent in 1..4"),
+    (["expansion-check", "--m", "1"], "expansion factor m must be >= 2"),
+])
+def test_bad_node_arguments_exit_2(capsys, command, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", EXAMPLE1])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+
+
+def test_oversized_sequence_set_exit_2(tmp_path, capsys):
+    cfg = json.loads(Path(EXAMPLE1).read_text())
+    del cfg["field_q"], cfg["rates"]
+    cfg["duties"] = ["0.3333"] * 4  # d = 10,000, period 10^12
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: a sequence set of period 1000000000000 needs about 2.98e+04 GiB")
+    assert captured.err.count("\n") == 1
+
+
 def test_boundary_unknown_scheme_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["boundary", "--config", EXAMPLE1, "--schemes", "capacity,foo",

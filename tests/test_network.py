@@ -161,48 +161,44 @@ class TestSimulate:
 
 
 class TestActivitySignal:
-    def test_worked_example(self, five_node_spec, mixed_set):
-        res = simulate(
-            five_node_spec, mixed_set, [0] * 5,
-            [Fraction(1, 27), Fraction(1, 27)], field(19), periods=3,
-        )
-        sig = activity_signal(res.trace, 2, start=0)
+    def test_worked_example(self, mixed_set):
+        sig = activity_signal(mixed_set, [0] * 5, 2, start=0)
         assert str(sig) == "ΔΔΔ*11*11ΔΔΔ100100ΔΔΔ100100".replace(" ", "")
 
-    def test_symbols(self, two_way_spec, third_set, symmetric_rate):
-        res = simulate(
-            two_way_spec, third_set, [0, 0, 0, 0],
-            [symmetric_rate, symmetric_rate], field(11), periods=3,
-        )
-        sig = activity_signal(res.trace, 1, start=0)
+    def test_symbols(self, third_set):
+        sig = activity_signal(third_set, [0, 0, 0, 0], 1, start=0)
         assert set(sig.symbols) <= {TRANSMIT, IDLE, SINGLE, COLLISION}
         assert len(sig) == 27
 
+    def test_window_start_rotates_the_period(self, mixed_set):
+        taus = [4, 0, 17, 5, 11]
+        whole = activity_signal(mixed_set, taus, 2).symbols
+        for start in (1, 13, 27 + 5, -3):
+            got = activity_signal(mixed_set, taus, 2, start=start).symbols
+            assert got == tuple(whole[(start + k) % 27] for k in range(27))
+
+    @pytest.mark.parametrize("node", [0, 6, -1])
+    def test_node_outside_the_line_raises(self, mixed_set, node):
+        with pytest.raises(ValueError, match=rf"node {node} lies outside 1\.\.5"):
+            activity_signal(mixed_set, [0] * 5, node)
+
 
 class TestIdentify:
-    def test_worked_example_labels(self, five_node_spec, mixed_set):
-        res = simulate(
-            five_node_spec, mixed_set, [0] * 5,
-            [Fraction(1, 27), Fraction(1, 27)], field(19), periods=3,
-        )
-        sig = activity_signal(res.trace, 2, start=0)
+    def test_worked_example_labels(self, mixed_set):
+        sig = activity_signal(mixed_set, [0] * 5, 2, start=0)
         labels = identify_senders(sig, mixed_set[2], 0, mixed_set[1], mixed_set[3])
         # 1-indexed: slots 5,6,8,9 from the right neighbor; 13,16,22,25
         # from the left
         assert {k + 1 for k, v in labels.items() if v == +1} == {5, 6, 8, 9}
         assert {k + 1 for k, v in labels.items() if v == -1} == {13, 16, 22, 25}
 
-    def test_labels_correct_for_random_offsets(self, five_node_spec, mixed_set):
+    def test_labels_correct_for_random_offsets(self, mixed_set):
         rng = np.random.default_rng(23)
         P = mixed_set.period
         for _ in range(15):
             t1, t3 = int(rng.integers(P)), int(rng.integers(P))
             taus = [t1, 0, t3, 5, 11]
-            res = simulate(
-                five_node_spec, mixed_set, taus,
-                [Fraction(1, 27), Fraction(1, 27)], field(19), periods=3,
-            )
-            sig = activity_signal(res.trace, 2, start=0)
+            sig = activity_signal(mixed_set, taus, 2, start=0)
             labels = identify_senders(
                 sig, mixed_set[2], 0, mixed_set[1], mixed_set[3]
             )
@@ -245,6 +241,11 @@ class TestDiscovery:
     def test_requires_adjacency(self, third_set):
         with pytest.raises(ValueError):
             discover_offset(third_set, [0, 0, 0, 0], 1, 3)
+
+    @pytest.mark.parametrize("tx, rx", [(4, 5), (9, 10), (0, 1)])
+    def test_requires_nodes_on_the_line(self, third_set, tx, rx):
+        with pytest.raises(ValueError, match=r"must be adjacent in 1\.\.4"):
+            discover_offset(third_set, [0, 0, 0, 0], tx, rx)
 
 
 class TestSubslot:
@@ -303,6 +304,17 @@ class TestConfig:
             "field_q": 13,
         })
         assert cfg.field_order() == 13
+
+    def test_default_field_is_the_smallest_prime(self):
+        def order(duty):
+            return parse_config({
+                "M": 2,
+                "sources": [{"id": 1, "attach": 1, "demands": [2]}],
+                "duties": [duty, "0"],
+            }).field_order()
+        # frame lengths 1, 4, 9, 16 and 25; all but 1 are prime powers
+        assert [order(d) for d in ("1/1", "1/2", "1/3", "1/4", "1/5")] == [
+            2, 5, 11, 17, 29]
 
     def test_malformed_config_raises(self):
         with pytest.raises(NetworkError):

@@ -146,6 +146,19 @@ class TestSymmetricRate:
         with pytest.raises(ValueError):
             max_symmetric_rate(two_way_spec, "fdma")
 
+    @pytest.mark.parametrize("steps, rate", [(12, F(1, 6)), (60, F(49, 288))])
+    def test_capacity_varies_a_node_with_only_own_demand(self, steps, rate):
+        # source 2 demands only its own node 4, which carries no traffic
+        # but still sends source 2's symbols on its backward link
+        spec = NetworkSpec(4, [
+            Source(1, 1, frozenset({4})),
+            Source(2, 4, frozenset({4})),
+        ])
+        res = max_symmetric_rate(spec, "capacity", grid_step=F(1, steps))
+        assert res.rate_exact == rate
+        assert res.params[3] > 0
+        assert achievable_point(spec, res.params, [rate, rate])
+
 
 class TestBoundary:
     def test_capacity_endpoints_exact(self, two_way_spec):
