@@ -33,6 +33,7 @@ from .rates import (
     SCHEMES,
     achievable_point,
     aloha_region_point,
+    check_symmetric_grid,
     max_symmetric_rate,
     outer_point,
     region_boundary,
@@ -202,15 +203,25 @@ def cmd_regions(args):
     return 0
 
 
+def _grid_step(args) -> Fraction:
+    with _usage_error(ValueError):
+        if args.grid_steps < 1:
+            raise ValueError(f"--grid-steps must be at least 1, got {args.grid_steps}")
+    return Fraction(1, args.grid_steps)
+
+
 def cmd_symmetric_rates(args):
     cfg = _load(args)
-    grid_step = Fraction(1, args.grid_steps)
+    grid_step = _grid_step(args)
+    schemes = [s for s in SCHEMES if s != "outer" or args.include_outer]
+    with _usage_error(ValueError):
+        # refuse a grid too large for any scheme before the first one runs
+        for scheme in schemes:
+            check_symmetric_grid(cfg.spec, scheme, grid_step)
     with _out(args) as fh:
         w = csv.writer(fh)
         w.writerow(["scheme", "rate", "witness_params"])
-        for scheme in SCHEMES:
-            if scheme == "outer" and not args.include_outer:
-                continue
+        for scheme in schemes:
             res = max_symmetric_rate(
                 cfg.spec, scheme, grid_step=grid_step, seed=args.seed,
             )
@@ -221,7 +232,7 @@ def cmd_symmetric_rates(args):
 
 def cmd_boundary(args):
     cfg = _load(args)
-    grid_step = Fraction(1, args.grid_steps)
+    grid_step = _grid_step(args)
     with _usage_error(ValueError):
         curves = [
             (scheme, region_boundary(
@@ -244,9 +255,11 @@ def cmd_expansion_check(args):
     slot-synchronous throughput of the original set."""
     cfg = _load(args)
     sset = cfg.sequence_set()
+    g = args.g or cfg.g
     with _usage_error(ValueError):
         expanded = expand_set(sset, args.m or cfg.m)
-    g = args.g or cfg.g
+        if g < 1:
+            raise ValueError(f"sub-slots per slot g must be at least 1, got {g}")
     rng = np.random.default_rng(args.seed)
     L = g * expanded.period
     with _out(args) as fh:

@@ -13,10 +13,12 @@ evaluates:
 
 plus optimizers for the maximal symmetric rate and two-source region
 boundaries.  Membership predicates work in exact rational arithmetic.
-The duty-parameterized schemes are optimized by one chunked numpy sweep
-of a duty-factor grid, and capacity and outer re-derive the winning
-value exactly; pure ALOHA is optimized by a seeded coordinate descent
-over intensities.
+The duty-parameterized schemes are optimized over a duty-factor grid by
+one exact chain DP: every link bound reads W = 3 consecutive duties and
+every slotted node rate W = 5, so the max-min costs O(M n^W) for n grid
+values, not n^M.  Capacity and outer re-derive the winning value
+exactly; pure ALOHA is optimized by a seeded coordinate descent over
+intensities.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .network import NetworkSpec, Source, relay_sets
+from .sequences import require_table_bytes
 
 SCHEMES = ("capacity", "outer", "pure", "slotted", "nc-slotted")
 
@@ -293,65 +296,89 @@ def _node_symmetric_rate(scheme, w, succ_f, succ_b):
     return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1), np.inf)
 
 
-def _symmetric_objective(spec: NetworkSpec, scheme: str) -> Callable:
-    """The common rate as a function of node -> duty (or intensity),
-    minimized over the scheme's links; arrays broadcast."""
+def _symmetric_terms(spec: NetworkSpec, scheme: str) -> List[Tuple]:
+    """The common rate as the minimum of ``(a, b, fn)`` terms, one per
+    link (capacity, outer) or per active node (ALOHA): ``fn`` maps node ->
+    duty (or intensity) to that bound, reads only the nodes from a to b,
+    and broadcasts over arrays."""
     if scheme in ("capacity", "outer"):
-        links = [(c.node, c.step, len(c.sources)) for c in _constraints(spec, scheme)]
-        return lambda f: _min(_link_bound(f, i, step) / n for i, step, n in links)
-    nodes = active_nodes(spec)
+        return [(c.node, c.node + 2 * c.step,
+                 lambda f, i=c.node, s=c.step, n=len(c.sources): _link_bound(f, i, s) / n)
+                for c in _constraints(spec, scheme)]
     weights = _traffic_weights(spec)
-
-    def rate(f):
-        r = _min(
-            _node_symmetric_rate(scheme, weights[i - 1], _success(scheme, f, i, 1),
-                                 _success(scheme, f, i, -1))
-            for i in nodes
-        )
-        return np.where(r == np.inf, 0.0, r)
-
-    return rate
+    return [(i - 2, i + 2,
+             lambda f, i=i: _node_symmetric_rate(scheme, weights[i - 1], _success(scheme, f, i, 1),
+                                                 _success(scheme, f, i, -1)))
+            for i in active_nodes(spec)]
 
 
 def _grid_values(grid_step: Fraction) -> List[Fraction]:
+    if not 0 < grid_step <= 1:
+        raise ValueError(f"grid step {grid_step} must lie in (0, 1]")
     steps = int(1 / grid_step)
     if Fraction(1, steps) != grid_step:
         raise ValueError("grid step must divide 1")
     return [Fraction(k, steps) for k in range(steps + 1)]
 
 
-def _grid_max(nodes: List[int], grid_step: Fraction, evaluate: Callable):
-    """Largest value of ``evaluate`` over the duty grid of ``nodes`` and
-    the first grid point, in lexicographic order, that attains it.
+_CHUNK = 1 << 13  # values per DP block, unless one row of it is longer
 
-    ``evaluate`` maps node -> duty (a broadcasting array) to values.  The
-    sweep takes one chunk per duty of the first node, so it holds
-    (1/grid_step + 1)^(len(nodes) - 1) values at a time.  Returns
-    (value, {node: Fraction duty}), or (-inf, None) if no value beats -inf.
+
+def _chain_max(M: int, nodes: List[int], grid_step: Fraction, terms, check_only=False):
+    """Largest minimum of ``terms`` over the duty grid of ``nodes`` (the
+    rest of 1..M silent) and the first grid point in lexicographic order
+    that attains it: (value, {node: Fraction duty}), or (-inf, None).
+
+    Bottleneck DP (Bertele & Brioschi, *Nonserial Dynamic Programming*,
+    1972) in O(M n^W), n grid values, W the widest term.  Backward, table j
+    holds per duty of nodes j..j+W-2 the best minimum of the terms from j
+    on; forward, each node takes the smallest duty that still reaches the
+    best.  Min and max are exact, so the result is the whole grid's.  It
+    first raises ValueError if its tables would pass the table limit;
+    ``check_only`` stops there.
     """
-    values = _grid_values(grid_step)
-    n, k = len(values), len(nodes)
-    axis = np.array([float(v) for v in values])
-    shape = (n,) * max(k - 1, 0)
-    f = {node: axis.reshape([n if a == pos else 1 for a in range(k - 1)])
-         for pos, node in enumerate(nodes[1:])}
-    best, best_idx = -np.inf, None
-    for i0 in range(n if k else 1):
-        if k:
-            f[nodes[0]] = axis[i0]
-        chunk = np.broadcast_to(evaluate(f), shape)
-        flat = int(np.argmax(chunk))
-        if chunk.flat[flat] > best:
-            best = float(chunk.flat[flat])
-            best_idx = (i0, *np.unravel_index(flat, shape))
-    if best_idx is None:
-        return best, None
-    return best, {node: values[j] for node, j in zip(nodes, best_idx)}
+    axis = np.array([float(v) for v in _grid_values(grid_step)])
+    terms = [(max(1, min(a, b)), min(M, max(a, b)), fn) for a, b, fn in terms]
+    width = max([2] + [hi - lo + 1 for lo, hi, _ in terms])
+    size = [len(axis) if i in nodes else 1 for i in range(M + width + 1)]
+    held = [math.prod(size[j:j + width - 1]) for j in range(1, M + 1)]
+    require_table_bytes(8 * (sum(held) + 4 * max(held + [_CHUNK])),
+                        f"the duty-grid DP at step {grid_step}")
+    if check_only:
+        return None
+    starts = [[] for _ in range(M + 1)]
+    for lo, _, fn in terms:
+        starts[lo].append(fn)
 
+    def window(j, count):
+        # node -> duties of nodes j..j+count-1, one axis each; silent nodes stay out
+        return {i: axis.reshape([-1 if p == i - j else 1 for p in range(count)])
+                for i in range(j, j + count) if size[i] > 1}
 
-def _all_duties(spec: NetworkSpec, duties: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    """``duties`` extended to every node, silent where absent."""
-    return {i: duties.get(i, Fraction(0)) for i in range(1, spec.M + 1)}
+    tables = [None] * (M + 1) + [np.full((1,) * (width - 1), np.inf)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(M, 0, -1):
+            shape, f, parts = size[j:j + width], window(j, width), []
+            rows = max(1, _CHUNK // math.prod(shape[1:]))
+            for a in range(0, shape[0], rows):
+                if j in f:
+                    f[j] = axis[a:a + rows].reshape([-1] + [1] * (width - 1))
+                block = np.minimum(_min(fn(f) for fn in starts[j]), tables[j + 1])
+                chunk = [min(rows, shape[0] - a)] + shape[1:]
+                parts.append(np.broadcast_to(block, chunk).max(axis=-1))
+            tables[j] = np.concatenate(parts)
+        best = float(tables[1].max())
+        if best == -np.inf:
+            return best, None
+        picks = {}
+        for j in range(1, M + 1):
+            f = {i: axis[k] for i, k in picks.items() if size[i] > 1}
+            f.update(window(j, width - 1))
+            # the terms begun before j that may still read nodes from j on
+            begun = _min(fn(f) for lo in range(max(1, j - width + 1), j) for fn in starts[lo])
+            reach = np.broadcast_to(np.minimum(begun, tables[j]), tables[j].shape)
+            picks[j] = int(np.argmax(reach.reshape(size[j], -1).max(axis=1) >= best))
+    return best, {i: Fraction(k, len(axis) - 1) for i, k in picks.items()}
 
 
 def _replay(values, xs, cur, cand, margin):
@@ -363,9 +390,10 @@ def _replay(values, xs, cur, cand, margin):
     return cur, cand
 
 
-def _descend(nodes, evaluate, seed, restarts, widths, sweeps=25):
-    """Seeded coordinate descent of ``evaluate`` over intensities in
-    [0, 1]; returns (best value, {node: intensity}).
+def _descend(nodes, terms, unbounded, seed, restarts, widths, sweeps=25):
+    """Seeded coordinate descent over intensities in [0, 1] of the least
+    of ``terms``, ``unbounded`` where none limits; returns (best value,
+    {node: intensity}).
 
     Restart 0 starts every node at 0.25, the others at seeded uniform
     draws.  Each coordinate is scanned at 41 points, then refined at 21
@@ -374,6 +402,10 @@ def _descend(nodes, evaluate, seed, restarts, widths, sweeps=25):
     when refining).  Each scan is evaluated as one array and the rule is
     replayed over it in order, so the search path is the sequential one.
     """
+    def evaluate(f):
+        r = _min(fn(f) for *_, fn in terms)
+        return np.where(r == np.inf, unbounded, r)
+
     def batch(lam, i, xs):
         f = {n: np.float64(v) for n, v in lam.items()}
         f[i] = np.asarray(xs, dtype=float)
@@ -408,8 +440,8 @@ def _exact_symmetric_rate(spec, scheme, duties: Dict[int, Fraction]) -> Fraction
     """Exact-rational recomputation of the symmetric bound at a duty
     assignment that covers every node (capacity/outer/slotted/nc-slotted)."""
     if scheme in ("capacity", "outer"):
-        return min((_link_bound(duties, c.node, c.step) / len(c.sources)
-                    for c in _constraints(spec, scheme)), default=Fraction(0))
+        return min((fn(duties) for *_, fn in _symmetric_terms(spec, scheme)),
+                   default=Fraction(0))
     weights = _traffic_weights(spec)
     rates = []
     for i in active_nodes(spec):
@@ -428,6 +460,16 @@ def _require_scheme(scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
+def check_symmetric_grid(spec: NetworkSpec, scheme: str, grid_step: Fraction) -> None:
+    """Raise ValueError, before any work, when ``max_symmetric_rate``
+    cannot run ``scheme`` at ``grid_step``: an unknown scheme, a step that
+    is not 1/n, or grid tables that would pass the table limit."""
+    _require_scheme(scheme)
+    if scheme != "pure":
+        _chain_max(spec.M, _free_nodes(spec, scheme), grid_step,
+                   _symmetric_terms(spec, scheme), check_only=True)
+
+
 def max_symmetric_rate(
     spec: NetworkSpec,
     scheme: str = "capacity",
@@ -438,36 +480,37 @@ def max_symmetric_rate(
     """Maximal common rate over the scheme's free parameters.
 
     The duty-parameterized schemes are maximized over a duty-factor grid
-    (only the nodes of ``_free_nodes`` vary; the rest stay silent) and
-    the winner is recomputed in exact rationals.  Pure ALOHA is maximized
-    by seeded coordinate descent over intensities in [0, 1].
+    by ``_chain_max`` (only the nodes of ``_free_nodes`` vary; the rest
+    stay silent) and the winner is recomputed in exact rationals.  Pure
+    ALOHA is maximized by seeded coordinate descent over intensities in
+    [0, 1].  Raises ValueError as ``check_symmetric_grid`` does.
     """
     _require_scheme(scheme)
     nodes = _free_nodes(spec, scheme)
-    objective = _symmetric_objective(spec, scheme)
+    terms = _symmetric_terms(spec, scheme)
     if scheme == "pure":
-        rate, lam = _descend(nodes, objective, seed, restarts, (0.025, 0.0025, 0.00025))
+        rate, lam = _descend(nodes, terms, 0.0, seed, restarts, (0.025, 0.0025, 0.00025))
         return SymmetricRateResult(
             "pure", rate, None, tuple(lam.get(i, 0.0) for i in range(1, spec.M + 1)))
-    _, witness = _grid_max(nodes, grid_step, objective)
-    duties = _all_duties(spec, witness)
+    _, duties = _chain_max(spec.M, nodes, grid_step, terms)
     exact = _exact_symmetric_rate(spec, scheme, duties)
     return SymmetricRateResult(scheme, float(exact), exact, tuple(duties.values()))
 
 
 # -- two-source region boundaries ---------------------------------------
 
-def _split_rate2(spec: NetworkSpec, scheme: str, r1: float) -> Callable:
-    """Largest R2 at fixed R1 under an ALOHA scheme as a function of
-    node -> duty (or intensity); arrays broadcast.
+def _split_rate2(spec: NetworkSpec, scheme: str, r1: float) -> List[Tuple]:
+    """Largest R2 at fixed R1 under an ALOHA scheme, as one ``(a, b,
+    fn)`` term per active node (see ``_symmetric_terms``).
 
     Each node splits its transmissions among traffic classes.  A class
     carries one source and needs the success rate of one direction
     (relays) or of the worse direction (own sources; with network coding
     also the one coded relay stream, which serves both directions).  R1's
-    classes take their shares first and source 2 gets what is left.
-    Returns -inf where R1 alone overloads a node, 0.0 where a source-2
-    class has zero success, and 1.0 where no node limits R2.
+    classes take their shares first and source 2 gets what is left.  A
+    term is -inf where R1 alone overloads the node, 0.0 where a source-2
+    class has zero success, and inf where the node carries no source-2
+    class.
     """
     rsets = relay_sets(spec)
     layout = []  # per node: (node, source-1 classes, source-2 classes)
@@ -485,23 +528,18 @@ def _split_rate2(spec: NetworkSpec, scheme: str, r1: float) -> Callable:
             classes += [(j, -1) for j in sorted(rsets.bwd[i])]
         layout.append((i, [d for j, d in classes if j == 1], [d for j, d in classes if j == 2]))
 
-    def evaluate(f):
-        per_node = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, cls1, cls2 in layout:
-                succ = {1: _success(scheme, f, i, 1), -1: _success(scheme, f, i, -1)}
-                succ[0] = np.minimum(succ[1], succ[-1])
-                # a zero R1 needs no share, not even of a link that never succeeds
-                used1 = sum(r1 / succ[d] for d in cls1) if r1 > 0 else 0.0
-                leftover = 1.0 - used1
-                r2 = np.inf
-                if cls2:
-                    r2 = np.maximum(leftover, 0.0) / sum(1.0 / succ[d] for d in cls2)
-                per_node.append(np.where(leftover < -1e-12, -np.inf, r2))
-        r = _min(per_node)
-        return np.where(r == np.inf, 1.0, r)
+    def node_rate2(f, i, cls1, cls2):
+        succ = {1: _success(scheme, f, i, 1), -1: _success(scheme, f, i, -1)}
+        succ[0] = np.minimum(succ[1], succ[-1])
+        # a zero R1 needs no share, not even of a link that never succeeds
+        used1 = sum(r1 / succ[d] for d in cls1) if r1 > 0 else 0.0
+        leftover = 1.0 - used1
+        r2 = np.inf
+        if cls2:
+            r2 = np.maximum(leftover, 0.0) / sum(1.0 / succ[d] for d in cls2)
+        return np.where(leftover < -1e-12, -np.inf, r2)
 
-    return evaluate
+    return [(t[0] - 2, t[0] + 2, lambda f, t=t: node_rate2(f, *t)) for t in layout]
 
 
 def max_rate2_given_rate1(
@@ -515,38 +553,39 @@ def max_rate2_given_rate1(
     alone is already infeasible.  Two-source networks only.
 
     Pure ALOHA is searched by coordinate descent (4 seeded restarts), the
-    other schemes over the duty grid; capacity and outer recompute the
-    winner exactly and return a Fraction when ``r1`` is one.  Raises
-    ValueError for a scheme not in SCHEMES.
+    other schemes over the duty grid by ``_chain_max``; capacity and outer
+    recompute the winner exactly and return a Fraction when ``r1`` is one.
+    Raises ValueError for a scheme not in SCHEMES.
     """
     _require_scheme(scheme)
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
     nodes = _free_nodes(spec, scheme)
-    if scheme == "pure":
-        return _descend(nodes, _split_rate2(spec, scheme, float(r1)), seed,
-                        restarts=4, widths=(0.025, 0.0025))[0]
-    if scheme in ("slotted", "nc-slotted"):
-        return _grid_max(nodes, grid_step, _split_rate2(spec, scheme, float(r1)))[0]
-    # per link: (node, step, source-1 count, source-2 count)
-    links = [(c.node, c.step, c.sources.count(1), c.sources.count(2))
-             for c in _constraints(spec, scheme)]
-    r1_float = float(r1)
+    exact = scheme in ("capacity", "outer")
+    if exact:
+        # per link: (node, step, source-1 count, source-2 count)
+        links = [(c.node, c.step, c.sources.count(1), c.sources.count(2))
+                 for c in _constraints(spec, scheme)]
+        r1_float = float(r1)
 
-    def evaluate(f):
-        r2 = []
-        for i, step, w1, w2 in links:
+        def link_rate2(f, i, step, w1, w2):
             slack = _link_bound(f, i, step) - w1 * r1_float
             # a link without source 2 only decides whether R1 fits
-            r2.append(np.where(slack >= -1e-12, slack / w2 if w2 else np.inf, -np.inf))
-        r2 = _min(r2)
-        return np.where(np.isinf(r2) & (r2 > 0), 1.0, r2)
+            return np.where(slack >= -1e-12, slack / w2 if w2 else np.inf, -np.inf)
 
-    best, witness = _grid_max(nodes, grid_step, evaluate)
-    if witness is None:
-        return -np.inf
+        terms = [(t[0], t[0] + 2 * t[1], lambda f, t=t: link_rate2(f, *t)) for t in links]
+    else:
+        terms = _split_rate2(spec, scheme, float(r1))
+    if scheme == "pure":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _descend(nodes, terms, 1.0, seed, restarts=4, widths=(0.025, 0.0025))[0]
+    best, duties = _chain_max(spec.M, nodes, grid_step, terms)
+    # only a link or node without source-2 traffic gives an inf term, so
+    # the best is inf only when nothing limits R2
+    best = 1.0 if best == np.inf else best
+    if not exact or duties is None:
+        return best
     # exact rational recompute at the winning grid point
-    duties = _all_duties(spec, witness)
     r1_exact = r1 if isinstance(r1, Fraction) else Fraction(r1)
     slacks = [(_link_bound(duties, i, step) - w1 * r1_exact, w2)
               for i, step, w1, w2 in links]
@@ -569,6 +608,8 @@ def region_boundary(
     feasible R1."""
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     # largest feasible R1 = largest R2 of the mirrored network at R1=0
     mirrored = NetworkSpec(spec.M, [
         Source(1, spec.source(2).attach, spec.source(2).demands),

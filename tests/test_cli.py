@@ -133,6 +133,33 @@ def test_bad_node_arguments_exit_2(capsys, command, reason):
     assert captured.err == f"error: {reason}\n"
 
 
+@pytest.mark.parametrize("command, reason", [
+    (["symmetric-rates", "--grid-steps", "0"], "--grid-steps must be at least 1, got 0"),
+    (["symmetric-rates", "--grid-steps", "-3"], "--grid-steps must be at least 1, got -3"),
+    (["boundary", "--resolution", "0"], "resolution must be at least 1, got 0"),
+    (["boundary", "--resolution", "-1"], "resolution must be at least 1, got -1"),
+    (["expansion-check", "--g", "-1"], "sub-slots per slot g must be at least 1, got -1"),
+])
+def test_bad_grid_arguments_exit_2(capsys, command, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", EXAMPLE1])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+
+
+def test_oversized_duty_grid_exit_2(capsys):
+    # capacity fits at this step, slotted does not: nothing may run or print
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetric-rates", "--config", EXAMPLE1, "--grid-steps", "3000"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the duty-grid DP at step 1/3000 needs about ")
+    assert captured.err.count("\n") == 1
+
+
 def test_oversized_sequence_set_exit_2(tmp_path, capsys):
     cfg = json.loads(Path(EXAMPLE1).read_text())
     del cfg["field_q"], cfg["rates"]

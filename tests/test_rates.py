@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +148,11 @@ class TestSymmetricRate:
         with pytest.raises(ValueError):
             max_symmetric_rate(two_way_spec, "fdma")
 
+    def test_bad_grid_step(self, two_way_spec):
+        for step in (F(0), F(-1, 3), F(2), F(2, 7)):
+            with pytest.raises(ValueError):
+                max_symmetric_rate(two_way_spec, "capacity", grid_step=step)
+
     @pytest.mark.parametrize("steps, rate", [(12, F(1, 6)), (60, F(49, 288))])
     def test_capacity_varies_a_node_with_only_own_demand(self, steps, rate):
         # source 2 demands only its own node 4, which carries no traffic
@@ -158,6 +165,37 @@ class TestSymmetricRate:
         assert res.rate_exact == rate
         assert res.params[3] > 0
         assert achievable_point(spec, res.params, [rate, rate])
+
+
+def _end_to_end_chain(M):
+    """Sources at both ends, each demanding every other node: every node
+    of the chain is free."""
+    return NetworkSpec(M, [
+        Source(1, 1, frozenset(range(2, M + 1))),
+        Source(2, M, frozenset(range(1, M))),
+    ])
+
+
+class TestChainScale:
+    def test_twenty_node_chain(self):
+        spec = _end_to_end_chain(20)
+        start = time.perf_counter()
+        res = max_symmetric_rate(spec, "capacity", grid_step=F(1, 60))
+        assert time.perf_counter() - start < 1.0
+        assert res.rate_exact == F(4, 27)
+        assert achievable_point(spec, res.params, [res.rate_exact] * 2)
+
+    def test_capacity_memory(self):
+        # the DP holds 31^2-value tables and blocks of 2^13 values, not 31^4
+        spec = _end_to_end_chain(5)
+        tracemalloc.start()
+        try:
+            res = max_symmetric_rate(spec, "capacity", grid_step=F(1, 30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rate_exact == F(4, 27)
+        assert peak < 2**20
 
 
 class TestBoundary:
@@ -182,6 +220,11 @@ class TestBoundary:
         for spec, r1 in ((five_node_spec, 0.9), (two_way_spec, 0.5)):
             r2 = max_rate2_given_rate1(spec, scheme, r1, grid_step=F(1, 12))
             assert r2 == -np.inf
+
+    def test_bad_resolution(self, two_way_spec):
+        for resolution in (0, -1):
+            with pytest.raises(ValueError):
+                region_boundary(two_way_spec, "capacity", resolution=resolution)
 
     def test_requires_two_sources(self):
         spec = NetworkSpec(2, [Source(1, 1, frozenset({2}))])
