@@ -32,7 +32,6 @@ from .network import (
 from .rates import (
     SCHEMES,
     achievable_point,
-    aloha_region_point,
     check_symmetric_grid,
     max_symmetric_rate,
     outer_point,

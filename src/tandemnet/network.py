@@ -485,6 +485,9 @@ def simulate(
             unknown, dim_extra = bwd, sum(seg_len(j) for j, _ in bwd)
         expected_dim = src_count + dim_extra
         if expected_dim == 0:
+            # nothing to decode, but the (empty) segments are now known
+            for j, tt in src + unknown:
+                kn.learn(j, tt, ())
             return
         try:
             low, high = nested_decode(

@@ -13,12 +13,25 @@ evaluates:
 
 plus optimizers for the maximal symmetric rate and two-source region
 boundaries.  Membership predicates work in exact rational arithmetic.
+
+Every scheme's region is written once, as *pieces*: lists of (source,
+success) classes, each holding R at duties f when the sum of R_j /
+success is at most 1.  A capacity or outer piece is one constraint's
+link, every class succeeding at the link bound.  A slotted or pure piece
+is one active node splitting its transmissions freely: its own sources
+need the worse direction, its relays their own side.  With network
+coding one coded stream serves both relay sides, so such a node has two
+pieces, own sources plus forward relays and own sources plus backward
+relays.  Every optimum is the largest t with base + t * ray in the
+region: the symmetric rate along (1, ..., 1) from 0, R2 along (0, 1)
+from (R1, 0), and the boundary's largest R1 along (1, 0) from 0.
+
 The duty-parameterized schemes are optimized over a duty-factor grid by
-one exact chain DP: every link bound reads W = 3 consecutive duties and
-every slotted node rate W = 5, so the max-min costs O(M n^W) for n grid
-values, not n^M.  Capacity and outer re-derive the winning value
-exactly; pure ALOHA is optimized by a seeded coordinate descent over
-intensities.
+one exact chain DP: every link piece reads W = 3 consecutive duties and
+every node's pieces W = 5, so the max-min costs O(M n^W) for n grid
+values, not n^M.  The winner is re-derived exactly for the symmetric
+rate, and for capacity and outer also on the boundary; pure ALOHA is
+optimized by a seeded coordinate descent over intensities.
 """
 
 from __future__ import annotations
@@ -26,12 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .network import NetworkSpec, Source, relay_sets
+from .network import NetworkSpec, relay_sets
 from .sequences import require_table_bytes
 
 SCHEMES = ("capacity", "outer", "pure", "slotted", "nc-slotted")
@@ -122,24 +135,23 @@ def _constraints(spec: NetworkSpec, kind: str) -> List[Constraint]:
     return capacity_constraints(spec) if kind == "capacity" else outer_constraints(spec)
 
 
-def _check_constraints(constraints, f, R) -> bool:
-    duties = dict(enumerate(f, 1))
-    return all(
-        sum(R[j - 1] for j in c.sources) <= _link_bound(duties, c.node, c.step)
-        for c in constraints
-    )
+def _inside(spec: NetworkSpec, scheme: str, f, R) -> bool:
+    """Does R lie in the scheme's region at duties f?  It does when it
+    leaves no piece, as the base of a ray that loads nothing."""
+    along = _along(_pieces(spec, scheme), R, [0] * spec.N)
+    return _exact(scheme, along, dict(enumerate(f, 1)), 0) is not None
 
 
 def achievable_point(spec: NetworkSpec, f: Sequence, R: Sequence) -> bool:
     """Is the rate vector achievable with the given duty factors?"""
     _validate_point(spec, f, R)
-    return _check_constraints(capacity_constraints(spec), f, R)
+    return _inside(spec, "capacity", f, R)
 
 
 def outer_point(spec: NetworkSpec, f: Sequence, R: Sequence) -> bool:
     """Does the rate vector satisfy the outer bound at these duties?"""
     _validate_point(spec, f, R)
-    return _check_constraints(outer_constraints(spec), f, R)
+    return _inside(spec, "outer", f, R)
 
 
 def _validate_point(spec, f, R):
@@ -241,75 +253,103 @@ def _format_number(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _traffic_weights(spec: NetworkSpec) -> List[Tuple[int, int, int]]:
-    """Per node: how many unit-rate sources load (own, forward-relay,
-    backward-relay) traffic at the symmetric point."""
+def _pieces(spec: NetworkSpec, scheme: str) -> List[Tuple]:
+    """The scheme's region as pieces ``(node, step, groups)``, a link's
+    (step +1 or -1) or a node's (step 0); ``groups`` lists (direction,
+    sources), the direction +1, -1, or 0 for the worse of the two.  Raises
+    ValueError for a scheme not in SCHEMES."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme in ("capacity", "outer"):
+        return [(c.node, c.step, ((c.step, c.sources),)) for c in _constraints(spec, scheme)]
     rsets = relay_sets(spec)
     out = []
     for i in range(1, spec.M + 1):
-        out.append((
-            len([s for s in spec.sources
-                 if s.attach == i and any(d != i for d in s.demands)]),
-            len(rsets.fwd[i]),
-            len(rsets.bwd[i]),
-        ))
+        own = (0, tuple(s.id for s in spec.sources
+                        if s.attach == i and any(d != i for d in s.demands)))
+        fwd, bwd = (1, tuple(sorted(rsets.fwd[i]))), (-1, tuple(sorted(rsets.bwd[i])))
+        sides = [(fwd,), (bwd,)] if scheme == "nc-slotted" and fwd[1] and bwd[1] else [(fwd, bwd)]
+        if own[1] or fwd[1] or bwd[1]:
+            out += [(i, 0, (own,) + side) for side in sides]
     return out
 
 
-def active_nodes(spec: NetworkSpec) -> List[int]:
-    """Nodes that carry any traffic; the rest can stay silent."""
-    weights = _traffic_weights(spec)
-    return [i for i in range(1, spec.M + 1) if any(weights[i - 1])]
+def _along(pieces, base: Sequence, ray: Sequence) -> List[Tuple]:
+    """The pieces along the ray base + t * ray, one entry per link and per
+    node: (node, step, per piece its (direction, base load, ray load)
+    groups, those without load left out)."""
+    out = {}
+    for node, step, groups in pieces:
+        loads = [(d, sum(base[j - 1] for j in js), sum(ray[j - 1] for j in js))
+                 for d, js in groups]
+        out.setdefault((node, step), []).append([g for g in loads if g[1] or g[2]])
+    return [(node, step, p) for (node, step), p in out.items()]
 
 
-def _free_nodes(spec: NetworkSpec, scheme: str) -> List[int]:
-    """Nodes the optimizers vary, the rest staying silent: for capacity
-    and outer the constraints' transmitters, else the active nodes."""
-    if scheme in ("capacity", "outer"):
-        return sorted({c.node for c in _constraints(spec, scheme)})
-    return active_nodes(spec)
+def _successes(scheme: str, f, node: int, step: int) -> Dict:
+    """Direction -> success rate of one piece entry's sender."""
+    if step:
+        return {step: _link_bound(f, node, step)}
+    fwd, bwd = _success(scheme, f, node, 1), _success(scheme, f, node, -1)
+    return {1: fwd, -1: bwd, 0: np.minimum(fwd, bwd)}
 
 
-def _node_symmetric_rate(scheme, w, succ_f, succ_b):
-    """Largest common rate one node supports, with its transmissions (or
-    success rate) split optimally among its traffic classes.
+def _share(load, succ):
+    """load / succ, inf where an exact or scalar success is 0."""
+    return load / succ if np.ndim(succ) or succ else math.inf
 
-    ``w`` = (own sources, forward relays, backward relays); ``succ_*``
-    are the directional success rates; arrays broadcast.  For slotted
-    and pure the split is free, so the bound is the weighted harmonic
-    combination; with network coding the two relay directions share one
-    stream and only the worse direction counts.
+
+def _slack(step: int, succ: Dict, loads: List[Tuple]):
+    """(slack, per) of one piece: it holds base + t * ray while t * per
+    <= slack; per is None where the ray does not load it.  A link piece
+    compares loads with its bound, a node piece sums each direction's
+    load / success, own, forward, backward in turn, within a budget of 1.
     """
-    def load(weight, succ):
-        # share of transmissions one unit of rate needs; inf if it cannot get through
-        if not weight:
-            return 0.0
-        return np.where(succ > 0, weight / np.where(succ > 0, succ, 1), np.inf)
-
-    w_s, w_f, w_b = w
-    inv_s = load(w_s, np.minimum(succ_f, succ_b))
-    inv_f, inv_b = load(w_f, succ_f), load(w_b, succ_b)
-    if scheme == "nc-slotted":
-        denom = inv_s + np.maximum(inv_f, inv_b)
+    if step:
+        slack = succ[step] - sum(b for _, b, _ in loads)
+        per = sum(r for *_, r in loads)
     else:
-        denom = inv_s + inv_f + inv_b
-    return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1), np.inf)
+        slack = 1 - sum(_share(b, succ[d]) for d, b, _ in loads if b > 0)
+        per = sum(_share(r, succ[d]) for d, _, r in loads if r)
+    return slack, per if any(r for *_, r in loads) else None
 
 
-def _symmetric_terms(spec: NetworkSpec, scheme: str) -> List[Tuple]:
-    """The common rate as the minimum of ``(a, b, fn)`` terms, one per
-    link (capacity, outer) or per active node (ALOHA): ``fn`` maps node ->
-    duty (or intensity) to that bound, reads only the nodes from a to b,
-    and broadcasts over arrays."""
-    if scheme in ("capacity", "outer"):
-        return [(c.node, c.node + 2 * c.step,
-                 lambda f, i=c.node, s=c.step, n=len(c.sources): _link_bound(f, i, s) / n)
-                for c in _constraints(spec, scheme)]
-    weights = _traffic_weights(spec)
-    return [(i - 2, i + 2,
-             lambda f, i=i: _node_symmetric_rate(scheme, weights[i - 1], _success(scheme, f, i, 1),
-                                                 _success(scheme, f, i, -1)))
-            for i in active_nodes(spec)]
+def _terms(scheme: str, along: List[Tuple]) -> List[Tuple]:
+    """The largest t along the ray as the minimum of ``(a, b, fn)`` terms,
+    one per entry of ``along``: ``fn`` maps node -> duty (or intensity) to
+    t's bound, reads only the nodes from a to b, and broadcasts over
+    arrays.  A term is -inf where the base alone leaves a piece (by more
+    than 1e-12) and inf where no piece limits t."""
+    def term(f, entry):
+        node, step, pieces = entry
+        succ, out = _successes(scheme, f, node, step), []
+        for loads in pieces:
+            slack, per = _slack(step, succ, loads)
+            # a link piece's slack may dip 1e-12 below 0, a node's is clamped
+            t = np.inf if per is None else (slack if step else np.maximum(slack, 0.0)) / per
+            out.append(np.where(slack < -1e-12, -np.inf, t) if any(g[1] for g in loads) else t)
+        return reduce(np.minimum, out)
+
+    # a link reads its two receivers' side, a node both neighbors on each side
+    return [(node + 2 * step if step else node - 2, node if step else node + 2,
+             partial(term, entry=(node, step, pieces))) for node, step, pieces in along]
+
+
+def _exact(scheme: str, along: List[Tuple], duties: Dict[int, Fraction], unbounded):
+    """The largest t along the ray at ``duties`` (node -> duty, every
+    node's), exact for Fractions; ``unbounded`` where no piece limits it,
+    None where the base alone leaves a piece."""
+    out = []
+    for node, step, pieces in along:
+        succ = _successes(scheme, duties, node, step)
+        for loads in pieces:
+            slack, per = _slack(step, succ, loads)
+            if slack < 0:
+                return None
+            if per is not None:
+                # per is inf, and t 0, where a loaded class never succeeds
+                out.append(slack / per)
+    return Fraction(min(out, default=unbounded))
 
 
 def _grid_values(grid_step: Fraction) -> List[Fraction]:
@@ -403,7 +443,8 @@ def _descend(nodes, terms, unbounded, seed, restarts, widths, sweeps=25):
     replayed over it in order, so the search path is the sequential one.
     """
     def evaluate(f):
-        r = _min(fn(f) for *_, fn in terms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = _min(fn(f) for *_, fn in terms)
         return np.where(r == np.inf, unbounded, r)
 
     def batch(lam, i, xs):
@@ -436,38 +477,15 @@ def _descend(nodes, terms, unbounded, seed, restarts, widths, sweeps=25):
     return best
 
 
-def _exact_symmetric_rate(spec, scheme, duties: Dict[int, Fraction]) -> Fraction:
-    """Exact-rational recomputation of the symmetric bound at a duty
-    assignment that covers every node (capacity/outer/slotted/nc-slotted)."""
-    if scheme in ("capacity", "outer"):
-        return min((fn(duties) for *_, fn in _symmetric_terms(spec, scheme)),
-                   default=Fraction(0))
-    weights = _traffic_weights(spec)
-    rates = []
-    for i in active_nodes(spec):
-        sf, sb = _link_bound(duties, i, 1), _link_bound(duties, i, -1)
-        loads = list(zip(weights[i - 1], (min(sf, sb), sf, sb)))
-        if any(w and not s for w, s in loads):
-            return Fraction(0)
-        inv_s, inv_f, inv_b = (Fraction(w) / s if w else 0 for w, s in loads)
-        relay = max(inv_f, inv_b) if scheme == "nc-slotted" else inv_f + inv_b
-        rates.append(1 / (inv_s + relay))
-    return min(rates, default=Fraction(0))
-
-
-def _require_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
 def check_symmetric_grid(spec: NetworkSpec, scheme: str, grid_step: Fraction) -> None:
     """Raise ValueError, before any work, when ``max_symmetric_rate``
     cannot run ``scheme`` at ``grid_step``: an unknown scheme, a step that
     is not 1/n, or grid tables that would pass the table limit."""
-    _require_scheme(scheme)
+    pieces = _pieces(spec, scheme)
     if scheme != "pure":
-        _chain_max(spec.M, _free_nodes(spec, scheme), grid_step,
-                   _symmetric_terms(spec, scheme), check_only=True)
+        along = _along(pieces, [0] * spec.N, [1] * spec.N)
+        nodes = sorted({node for node, *_ in pieces})
+        _chain_max(spec.M, nodes, grid_step, _terms(scheme, along), check_only=True)
 
 
 def max_symmetric_rate(
@@ -477,69 +495,53 @@ def max_symmetric_rate(
     seed: int = 0,
     restarts: int = 20,
 ) -> SymmetricRateResult:
-    """Maximal common rate over the scheme's free parameters.
+    """Maximal common rate over the scheme's free parameters: the largest
+    t with t * (1, ..., 1) in the region.
 
     The duty-parameterized schemes are maximized over a duty-factor grid
-    by ``_chain_max`` (only the nodes of ``_free_nodes`` vary; the rest
-    stay silent) and the winner is recomputed in exact rationals.  Pure
+    by ``_chain_max`` (only the nodes that send on some piece vary; the
+    rest stay silent) and the winner is recomputed in exact rationals.  Pure
     ALOHA is maximized by seeded coordinate descent over intensities in
     [0, 1].  Raises ValueError as ``check_symmetric_grid`` does.
     """
-    _require_scheme(scheme)
-    nodes = _free_nodes(spec, scheme)
-    terms = _symmetric_terms(spec, scheme)
+    pieces = _pieces(spec, scheme)
+    along = _along(pieces, [0] * spec.N, [1] * spec.N)
+    nodes = sorted({node for node, *_ in pieces})
+    terms = _terms(scheme, along)
     if scheme == "pure":
         rate, lam = _descend(nodes, terms, 0.0, seed, restarts, (0.025, 0.0025, 0.00025))
         return SymmetricRateResult(
             "pure", rate, None, tuple(lam.get(i, 0.0) for i in range(1, spec.M + 1)))
     _, duties = _chain_max(spec.M, nodes, grid_step, terms)
-    exact = _exact_symmetric_rate(spec, scheme, duties)
+    exact = _exact(scheme, along, duties, 0)
     return SymmetricRateResult(scheme, float(exact), exact, tuple(duties.values()))
 
 
 # -- two-source region boundaries ---------------------------------------
 
-def _split_rate2(spec: NetworkSpec, scheme: str, r1: float) -> List[Tuple]:
-    """Largest R2 at fixed R1 under an ALOHA scheme, as one ``(a, b,
-    fn)`` term per active node (see ``_symmetric_terms``).
-
-    Each node splits its transmissions among traffic classes.  A class
-    carries one source and needs the success rate of one direction
-    (relays) or of the worse direction (own sources; with network coding
-    also the one coded relay stream, which serves both directions).  R1's
-    classes take their shares first and source 2 gets what is left.  A
-    term is -inf where R1 alone overloads the node, 0.0 where a source-2
-    class has zero success, and inf where the node carries no source-2
-    class.
-    """
-    rsets = relay_sets(spec)
-    layout = []  # per node: (node, source-1 classes, source-2 classes)
-    for i in active_nodes(spec):
-        # a class is its direction: +1, -1, or 0 for the worse of the two
-        classes = [(j, 0) for j in (1, 2) if j in spec.attached_at(i)
-                   and any(d != i for d in spec.source(j).demands)]
-        if scheme == "nc-slotted":
-            for j in (1, 2):
-                fwd, bwd = j in rsets.fwd[i], j in rsets.bwd[i]
-                if fwd or bwd:
-                    classes.append((j, 0 if fwd and bwd else (1 if fwd else -1)))
-        else:
-            classes += [(j, 1) for j in sorted(rsets.fwd[i])]
-            classes += [(j, -1) for j in sorted(rsets.bwd[i])]
-        layout.append((i, [d for j, d in classes if j == 1], [d for j, d in classes if j == 2]))
-
-    def node_rate2(f, i, cls1, cls2):
-        succ = {1: _success(scheme, f, i, 1), -1: _success(scheme, f, i, -1)}
-        succ[0] = np.minimum(succ[1], succ[-1])
-        # a zero R1 needs no share, not even of a link that never succeeds
-        used1 = sum(r1 / succ[d] for d in cls1) if r1 > 0 else 0.0
-        leftover = 1.0 - used1
-        r2 = np.inf
-        if cls2:
-            r2 = np.maximum(leftover, 0.0) / sum(1.0 / succ[d] for d in cls2)
-        return np.where(leftover < -1e-12, -np.inf, r2)
-
-    return [(t[0] - 2, t[0] + 2, lambda f, t=t: node_rate2(f, *t)) for t in layout]
+def _ray_max(spec: NetworkSpec, scheme: str, base: Tuple, ray: Tuple,
+             grid_step: Fraction, seed: int):
+    """Largest t with base + t * ray in a two-source region, 1.0 where
+    nothing limits it and -inf where the base alone lies outside.  Pure
+    ALOHA is searched by coordinate descent (4 seeded restarts), the other
+    schemes over the duty grid; capacity and outer recompute the winner
+    exactly, as a Fraction when the base's first rate is one."""
+    pieces = _pieces(spec, scheme)
+    nodes = sorted({node for node, *_ in pieces})
+    terms = _terms(scheme, _along(pieces, [float(x) for x in base], ray))
+    if scheme == "pure":
+        return _descend(nodes, terms, 1.0, seed, restarts=4, widths=(0.025, 0.0025))[0]
+    best, duties = _chain_max(spec.M, nodes, grid_step, terms)
+    # only a piece the ray does not load gives an inf term, so the best
+    # is inf only when nothing limits t
+    best = 1.0 if best == np.inf else best
+    if scheme not in ("capacity", "outer") or duties is None:
+        return best
+    t = _exact(scheme, _along(pieces, [Fraction(x) for x in base], ray), duties, 1)
+    if t is None:
+        # float rounding put the winner marginally outside; fall back
+        return best
+    return t if isinstance(base[0], Fraction) else float(t)
 
 
 def max_rate2_given_rate1(
@@ -550,50 +552,13 @@ def max_rate2_given_rate1(
     seed: int = 0,
 ) -> float:
     """Largest R2 with (R1, R2) in the scheme's region, or -inf when R1
-    alone is already infeasible.  Two-source networks only.
-
-    Pure ALOHA is searched by coordinate descent (4 seeded restarts), the
-    other schemes over the duty grid by ``_chain_max``; capacity and outer
-    recompute the winner exactly and return a Fraction when ``r1`` is one.
-    Raises ValueError for a scheme not in SCHEMES.
+    alone is already infeasible: the ray (0, 1) from (R1, 0).  Two-source
+    networks only; capacity and outer return a Fraction when ``r1`` is
+    one.  Raises ValueError for a scheme not in SCHEMES.
     """
-    _require_scheme(scheme)
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
-    nodes = _free_nodes(spec, scheme)
-    exact = scheme in ("capacity", "outer")
-    if exact:
-        # per link: (node, step, source-1 count, source-2 count)
-        links = [(c.node, c.step, c.sources.count(1), c.sources.count(2))
-                 for c in _constraints(spec, scheme)]
-        r1_float = float(r1)
-
-        def link_rate2(f, i, step, w1, w2):
-            slack = _link_bound(f, i, step) - w1 * r1_float
-            # a link without source 2 only decides whether R1 fits
-            return np.where(slack >= -1e-12, slack / w2 if w2 else np.inf, -np.inf)
-
-        terms = [(t[0], t[0] + 2 * t[1], lambda f, t=t: link_rate2(f, *t)) for t in links]
-    else:
-        terms = _split_rate2(spec, scheme, float(r1))
-    if scheme == "pure":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _descend(nodes, terms, 1.0, seed, restarts=4, widths=(0.025, 0.0025))[0]
-    best, duties = _chain_max(spec.M, nodes, grid_step, terms)
-    # only a link or node without source-2 traffic gives an inf term, so
-    # the best is inf only when nothing limits R2
-    best = 1.0 if best == np.inf else best
-    if not exact or duties is None:
-        return best
-    # exact rational recompute at the winning grid point
-    r1_exact = r1 if isinstance(r1, Fraction) else Fraction(r1)
-    slacks = [(_link_bound(duties, i, step) - w1 * r1_exact, w2)
-              for i, step, w1, w2 in links]
-    if any(slack < 0 for slack, _ in slacks):
-        # float rounding put the winner marginally outside; fall back
-        return best
-    r2_exact = min((slack / w2 for slack, w2 in slacks if w2), default=Fraction(1))
-    return r2_exact if isinstance(r1, Fraction) else float(r2_exact)
+    return _ray_max(spec, scheme, (r1, 0), (0, 1), grid_step, seed)
 
 
 def region_boundary(
@@ -605,28 +570,22 @@ def region_boundary(
 ) -> List[Tuple[float, float]]:
     """Sampled upper boundary of a two-source region: (R1, max R2) pairs
     at ``resolution + 1`` evenly spaced R1 values from 0 to the largest
-    feasible R1."""
+    feasible R1, the ray (1, 0) from 0."""
     if spec.N != 2:
         raise ValueError("boundary tracing supports exactly two sources")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-    # largest feasible R1 = largest R2 of the mirrored network at R1=0
-    mirrored = NetworkSpec(spec.M, [
-        Source(1, spec.source(2).attach, spec.source(2).demands),
-        Source(2, spec.source(1).attach, spec.source(1).demands),
-    ])
-    exact = scheme in ("capacity", "outer")
     if scheme in ("slotted", "nc-slotted"):
         # slotted boundaries are traced on a grid no finer than 1/12; the
         # clamp is kept so that their outputs stay as they were
         grid_step = max(grid_step, Fraction(1, 12))
-    zero = Fraction(0) if exact else 0.0
-    r1_max = max_rate2_given_rate1(mirrored, scheme, zero, grid_step, seed)
+    zero = Fraction(0) if scheme in ("capacity", "outer") else 0.0
+    r1_max = _ray_max(spec, scheme, (zero, zero), (1, 0), grid_step, seed)
     if r1_max < 0:
         return [(0.0, 0.0)] * (resolution + 1)
     out = []
     for k in range(resolution + 1):
-        r1 = r1_max * k / resolution if exact else float(r1_max) * k / resolution
+        r1 = r1_max * k / resolution
         r2 = max_rate2_given_rate1(spec, scheme, r1, grid_step, seed)
         out.append((float(r1), max(float(r2), 0.0)))
     return out

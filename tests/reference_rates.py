@@ -21,16 +21,97 @@ from tandemnet.network import relay_sets
 from tandemnet.rates import (
     SymmetricRateResult,
     _constraints,
-    _exact_symmetric_rate,
-    _free_nodes,
     _grid_values,
     _link_bound,
     _min,
-    _node_symmetric_rate,
     _success,
-    _traffic_weights,
-    active_nodes,
 )
+
+
+# -- the per-scheme region copies that the region pieces replaced -----------
+
+def _traffic_weights(spec):
+    """Per node: how many unit-rate sources load (own, forward-relay,
+    backward-relay) traffic at the symmetric point."""
+    rsets = relay_sets(spec)
+    out = []
+    for i in range(1, spec.M + 1):
+        out.append((
+            len([s for s in spec.sources
+                 if s.attach == i and any(d != i for d in s.demands)]),
+            len(rsets.fwd[i]),
+            len(rsets.bwd[i]),
+        ))
+    return out
+
+
+def active_nodes(spec):
+    """Nodes that carry any traffic; the rest can stay silent."""
+    weights = _traffic_weights(spec)
+    return [i for i in range(1, spec.M + 1) if any(weights[i - 1])]
+
+
+def _free_nodes(spec, scheme):
+    """Nodes the optimizers vary: for capacity and outer the constraints'
+    transmitters, else the active nodes."""
+    if scheme in ("capacity", "outer"):
+        return sorted({c.node for c in _constraints(spec, scheme)})
+    return active_nodes(spec)
+
+
+def _node_symmetric_rate(scheme, w, succ_f, succ_b):
+    """Largest common rate one node supports, with its transmissions (or
+    success rate) split optimally among its traffic classes.
+
+    ``w`` = (own sources, forward relays, backward relays); ``succ_*``
+    are the directional success rates; arrays broadcast.  For slotted
+    and pure the split is free, so the bound is the weighted harmonic
+    combination; with network coding the two relay directions share one
+    stream and only the worse direction counts.
+    """
+    def load(weight, succ):
+        # share of transmissions one unit of rate needs; inf if it cannot get through
+        if not weight:
+            return 0.0
+        return np.where(succ > 0, weight / np.where(succ > 0, succ, 1), np.inf)
+
+    w_s, w_f, w_b = w
+    inv_s = load(w_s, np.minimum(succ_f, succ_b))
+    inv_f, inv_b = load(w_f, succ_f), load(w_b, succ_b)
+    if scheme == "nc-slotted":
+        denom = inv_s + np.maximum(inv_f, inv_b)
+    else:
+        denom = inv_s + inv_f + inv_b
+    return np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1), np.inf)
+
+
+def _exact_symmetric_rate(spec, scheme, duties):
+    """Exact-rational recomputation of the symmetric bound at a duty
+    assignment that covers every node (capacity/outer/slotted/nc-slotted)."""
+    if scheme in ("capacity", "outer"):
+        return min((_link_bound(duties, c.node, c.step) / len(c.sources)
+                    for c in _constraints(spec, scheme)), default=Fraction(0))
+    weights = _traffic_weights(spec)
+    rates = []
+    for i in active_nodes(spec):
+        sf, sb = _link_bound(duties, i, 1), _link_bound(duties, i, -1)
+        loads = list(zip(weights[i - 1], (min(sf, sb), sf, sb)))
+        if any(w and not s for w, s in loads):
+            return Fraction(0)
+        inv_s, inv_f, inv_b = (Fraction(w) / s if w else 0 for w, s in loads)
+        relay = max(inv_f, inv_b) if scheme == "nc-slotted" else inv_f + inv_b
+        rates.append(1 / (inv_s + relay))
+    return min(rates, default=Fraction(0))
+
+
+def _coded_budgets(scheme, own, fwd, bwd):
+    """A node's traffic classes as the budgets its transmissions must
+    cover: one for plain slotted ALOHA; with network coding one coded
+    stream serves both relay sides, so a node relaying both ways has two,
+    own plus forward relays and own plus backward relays."""
+    if scheme == "nc-slotted" and fwd and bwd:
+        return [own + fwd, own + bwd]
+    return [own + fwd + bwd]
 
 
 def _max_symmetric_pure(spec, seed=0, restarts=20, sweeps=25):
@@ -112,81 +193,30 @@ def _slotted_rate2_given_rate1(spec, scheme, r1, grid_step):
             demands.append(("fwd", j, succ[+1]))
         for j in rsets.bwd[i]:
             demands.append(("bwd", j, succ[-1]))
-        if scheme == "nc-slotted":
-            fwd = [d for d in demands if d[0] == "fwd"]
-            bwd = [d for d in demands if d[0] == "bwd"]
-            src = [d for d in demands if d[0] == "src"]
-            merged = src[:]
-            if fwd or bwd:
-                # one coded stream serves both relay directions
-                merged.append(("relay",
-                               tuple(d[1] for d in fwd), tuple(d[1] for d in bwd),
-                               succ[+1], succ[-1]))
+
+        def budget(classes):
             used1 = 0.0
             cls2 = []
-            for d in merged:
-                if d[0] == "src":
-                    _, j, s = d
-                    if s <= 0:
-                        if j == 1 and r1 > 0:
-                            return -np.inf
-                        if j == 2:
-                            return 0.0
-                        continue
-                    if j == 1:
-                        used1 += r1 / s
-                    else:
-                        cls2.append(1.0 / s)
+            for kind, j, s in classes:
+                if s <= 0:
+                    if j == 1 and r1 > 0:
+                        return -np.inf
+                    if j == 2:
+                        return 0.0
+                    continue
+                if j == 1:
+                    used1 += r1 / s
                 else:
-                    _, fj, bj, sf, sb = d
-                    share1 = 0.0
-                    per2 = 0.0
-                    if 1 in fj and r1 > 0:
-                        if sf <= 0:
-                            return -np.inf
-                        share1 = max(share1, r1 / sf)
-                    if 1 in bj and r1 > 0:
-                        if sb <= 0:
-                            return -np.inf
-                        share1 = max(share1, r1 / sb)
-                    if 2 in fj:
-                        if sf <= 0:
-                            return 0.0
-                        per2 = max(per2, 1.0 / sf)
-                    if 2 in bj:
-                        if sb <= 0:
-                            return 0.0
-                        per2 = max(per2, 1.0 / sb)
-                    # shares must cover both sources' worse direction
-                    used1 += share1
-                    if per2:
-                        cls2.append(per2)
+                    cls2.append(1.0 / s)
             leftover = 1.0 - used1
             if leftover < -1e-12:
                 return -np.inf
             if not cls2:
                 return np.inf
             return max(leftover, 0.0) / sum(cls2)
-        # plain slotted: every class has its own share
-        used1 = 0.0
-        cls2 = []
-        for kind, j, s in demands:
-            if s <= 0:
-                if j == 1 and r1 > 0:
-                    return -np.inf
-                if j == 2:
-                    return 0.0
-                continue
-            if j == 1:
-                used1 += r1 / s
-            else:
-                cls2.append(1.0 / s)
-        leftover = 1.0 - used1
-        if leftover < -1e-12:
-            return -np.inf
-        if not cls2:
-            return np.inf
-        return max(leftover, 0.0) / sum(cls2)
+
+        by_kind = {k: [d for d in demands if d[0] == k] for k in ("src", "fwd", "bwd")}
+        return min(budget(c) for c in _coded_budgets(scheme, *by_kind.values()))
 
     for combo in product(values, repeat=len(nodes)):
         f = {node: combo[pos] for pos, node in enumerate(nodes)}
@@ -345,20 +375,16 @@ def _split_rate2(spec, scheme, r1):
     alone overloads a node, 0.0 where a source-2 class has zero success,
     and 1.0 where no node limits R2."""
     rsets = relay_sets(spec)
-    layout = []  # per node: (node, source-1 classes, source-2 classes)
+    layout = []  # per node and budget: (node, source-1 classes, source-2 classes)
     for i in active_nodes(spec):
         # a class is its direction: +1, -1, or 0 for the worse of the two
-        classes = [(j, 0) for j in (1, 2) if j in spec.attached_at(i)
-                   and any(d != i for d in spec.source(j).demands)]
-        if scheme == "nc-slotted":
-            for j in (1, 2):
-                fwd, bwd = j in rsets.fwd[i], j in rsets.bwd[i]
-                if fwd or bwd:
-                    classes.append((j, 0 if fwd and bwd else (1 if fwd else -1)))
-        else:
-            classes += [(j, 1) for j in sorted(rsets.fwd[i])]
-            classes += [(j, -1) for j in sorted(rsets.bwd[i])]
-        layout.append((i, [d for j, d in classes if j == 1], [d for j, d in classes if j == 2]))
+        own = [(j, 0) for j in (1, 2) if j in spec.attached_at(i)
+               and any(d != i for d in spec.source(j).demands)]
+        fwd = [(j, 1) for j in sorted(rsets.fwd[i])]
+        bwd = [(j, -1) for j in sorted(rsets.bwd[i])]
+        for classes in _coded_budgets(scheme, own, fwd, bwd):
+            layout.append((i, [d for j, d in classes if j == 1],
+                           [d for j, d in classes if j == 2]))
 
     def evaluate(f):
         per_node = []

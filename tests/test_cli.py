@@ -55,6 +55,17 @@ def test_simulate_ok(small_config, tmp_path):
     assert trace.read_text().startswith("slot,node,action,value")
 
 
+def test_simulate_without_rates(tmp_path):
+    # rates default to zero, so the relays carry empty segments
+    cfg = json.loads(Path(EXAMPLE1).read_text())
+    del cfg["rates"]
+    path = tmp_path / "no-rates.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "sim.txt"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert "errors=0" in out.read_text()
+
+
 def test_simulate_infeasible_exit(small_config, tmp_path):
     cfg = json.loads(Path(small_config).read_text())
     cfg["rates"] = ["5/27", "4/27"]

@@ -97,6 +97,16 @@ class TestSimulate:
             (1, 2), (2, 3), (3, 4)
         }
 
+    def test_zero_rate_relayed_source(self):
+        # nothing to decode at the relay, but its empty segments are known
+        spec = NetworkSpec(3, [Source(1, 1, frozenset({3}))])
+        sset = construct_sequences([DutyFactor(1, 3)] * 3)
+        res = simulate(spec, sset, [0, 0, 0], [Fraction(0)], field(11), periods=4)
+        assert res.ok and res.error_count() == 0
+        periods = res.decodable_periods(1, 3)
+        assert len(periods) > 0
+        assert all(res.decoded[(1, 3)][t] == () for t in periods)
+
     def test_half_duplex_invariant(self, two_way_spec, third_set, symmetric_rate):
         res = simulate(
             two_way_spec, third_set, [3, 7, 11, 19],
